@@ -10,9 +10,11 @@ Each run generates its inputs from ``--seed`` and makes four calls per
 input: compress and decompress at 1 thread, then at ``nt`` =
 ``os.cpu_count()`` threads. Every call is checked: decompressed pixels must
 equal the input byte for byte, and every container must equal the input's
-first 1-thread container. ``--trace 0`` visits every input once, keeps
-cycling over them until ``--seconds`` have passed and reports the end-to-end
-metrics, plus set-up time and peak memory from fresh interpreters.
+first 1-thread container. ``--trace 0`` compresses every input once, then
+cycles the four calls over the inputs while the next fits in ``--seconds``,
+and reports the end-to-end metrics: each mode's median per-call MB/s scaled
+by the host-speed gauge (see ``gauge.py``), the ratio, and set-up time and
+peak memory from fresh interpreters.
 ``--trace 1`` alternates untraced and traced passes over the inputs while
 another pair fits in ``--seconds`` (at least one pair) and reports the
 per-layer split (see ``spans.py``). The last stdout line is one JSON object with
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gauge import HostGauge
 from spans import SPAN_FIELDS, Tracer, summarize
 
 HERE = Path(__file__).resolve().parent
@@ -95,11 +98,14 @@ def load_codec():
 # --- workloads ---------------------------------------------------------------
 
 def slide_inputs(synthetic, seed, small):
-    # Two slides, not one: the margins wsi_like_image draws per seed swing the
-    # cropped area by +-15%, which a single slide carries into every metric.
-    size = 256 if small else 2048
-    seeds = [np.random.SeedSequence([seed, 0]), np.random.SeedSequence([seed, 0, 1])]
-    return [synthetic.wsi_like_image(s, size, size, 3) for s in seeds]
+    # Four 1024^2 slides, 12.6 MB in all, the size of one 2048^2 slide: the
+    # margins wsi_like_image draws per seed swing a slide's cropped area by
+    # +-15%, which four slides average down, and calls a quarter as long give
+    # each mode several calls in a run on a host whose speed varies from call
+    # to call. At patch 256 each slide still has 16 tiles for the pool.
+    size = 128 if small else 1024
+    return [synthetic.wsi_like_image(np.random.SeedSequence([seed, 0, k]), size, size, 3)
+            for k in range(4)]
 
 
 def corpus_inputs(synthetic, seed, small):
@@ -110,15 +116,18 @@ def scan_inputs(synthetic, seed, small):
     # A mosaic of independent gradient blocks under one noise field: a single
     # seeded gradient clips to flat 0/255 regions in some seeds and not in
     # others, moving the ratio between 1.6 and 3.2; 64 blocks average that out.
-    # 1024^2 rather than 1536^2 keeps calls short enough that all four modes
-    # interleave within a run.
+    # 1024^2 rather than 1536^2, compressed as four 256-row strips (two
+    # 256x512 tiles each, one per thread at nt = 2; each tile still fills and
+    # resets the LZW dictionary), keeps calls short enough that each mode gets
+    # several calls in a run.
     block, n = (48, 4) if small else (128, 8)
     blocks = [synthetic.smooth_gradient_patch(np.random.SeedSequence([seed, 1, k]), block, block, 3)
               for k in range(n * n)]
     base = np.concatenate([np.concatenate(blocks[r * n:(r + 1) * n], axis=1) for r in range(n)])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    noisy = np.round(base + rng.normal(0.0, 3.0, base.shape))
-    return [np.clip(noisy, 0, 255).astype(np.uint8)]
+    noisy = np.clip(np.round(base + rng.normal(0.0, 3.0, base.shape)), 0, 255).astype(np.uint8)
+    rows = noisy.shape[0] // 4
+    return [noisy[k * rows:(k + 1) * rows].copy() for k in range(4)]
 
 
 WORKLOADS = {
@@ -162,40 +171,61 @@ def plain_call(name, fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
-def run_calls(codec, images, config, nt, seconds=0.0, call=plain_call):
-    """Make the four calls per input, cycling over the inputs.
+def run_calls(codec, images, config, nt, seconds=None, call=plain_call, after=None):
+    """Make timed, checked codec calls on the inputs.
 
-    Every input gets its four calls once; after that the cycle goes on, one
-    call at a time, until ``seconds`` have passed. Returns ``(done, blobs,
-    attempted, failed)``: ``done`` maps each mode to [bytes, seconds],
-    ``blobs`` holds each input's first 1-thread container. A call fails when
-    it raises, when a decode differs from its input, or when a container
-    differs from the input's first 1-thread container.
+    First every input is compressed at 1 thread; that container is the
+    reference the later calls are checked against. With ``seconds=None`` each
+    input then gets its other three calls once. Otherwise the four calls
+    cycle over the inputs, one call at a time, while the next call is
+    expected to end before ``seconds`` have passed since the start (its
+    expected time is that of the same call on the same input last time), and
+    at least until every mode has been timed once. ``after(threads,
+    seconds)``, when given, runs after each call. Returns ``(done, blobs,
+    attempted, failed)``: ``done`` maps each mode to a list of ``(bytes,
+    seconds)``, one per call; ``blobs`` holds the reference containers. A
+    call fails when it raises, when a decode differs from its input, or when
+    a container differs from the input's reference.
     """
-    deadline = time.perf_counter() + seconds
-    done = {key: [0, 0.0] for key in MODES}
+    deadline = time.perf_counter() + (seconds or 0.0)
+    done = {key: [] for key in MODES}
+    last = {}
     blobs = [None] * len(images)
     attempted = failed = 0
+
+    def timed(i, key):
+        nonlocal attempted, failed
+        name, multi = MODES[key]
+        image = images[i]
+        arg, kwargs = (image, {"config": config}) if name == "compress" else (blobs[i], {})
+        start = time.perf_counter()
+        try:
+            result = call(name, getattr(codec, name), arg, threads=nt if multi else 1, **kwargs)
+        except Exception:  # a failing call is a measured outcome, not a crash
+            traceback.print_exc()
+            result = None
+        last[i, key] = time.perf_counter() - start
+        done[key].append((image.nbytes, last[i, key]))
+        if after:
+            after(nt if multi else 1, last[i, key])
+        if blobs[i] is None and key == "compress_MBps":
+            blobs[i] = result
+        attempted += 1
+        failed += not call_ok(name, result, image, blobs[i])
+
+    for i in range(len(images)):
+        timed(i, "compress_MBps")
+    if seconds is None:
+        for i in range(len(images)):
+            for key in list(MODES)[1:]:
+                timed(i, key)
+        return done, blobs, attempted, failed
     for k in itertools.count():
         i = k % len(images)
-        image = images[i]
-        for key, (name, multi) in MODES.items():
-            if k >= len(images) and time.perf_counter() > deadline:
+        for key in MODES:
+            if all(done.values()) and time.perf_counter() + last.get((i, key), 0.0) > deadline:
                 return done, blobs, attempted, failed
-            arg, kwargs = (image, {"config": config}) if name == "compress" else (blobs[i], {})
-            start = time.perf_counter()
-            try:
-                result = call(name, getattr(codec, name), arg, threads=nt if multi else 1,
-                              **kwargs)
-            except Exception:  # a failing call is a measured outcome, not a crash
-                traceback.print_exc()
-                result = None
-            done[key][1] += time.perf_counter() - start
-            done[key][0] += image.nbytes
-            if key == "compress_MBps" and k < len(images):
-                blobs[i] = result
-            attempted += 1
-            failed += not call_ok(name, result, image, blobs[i])
+            timed(i, key)
 
 
 def call_ok(name, result, image, blob):
@@ -331,16 +361,21 @@ def measure(codec, workload, seed, seconds, trace, small=False):
 
     if not trace:
         setup_s, checks["setup_round_trip"] = measure_setup(codec)
-        done, blobs, attempted, failed = run_calls(codec, images, config, nt, seconds)
+        gauge = HostGauge()
+        done, blobs, attempted, failed = run_calls(codec, images, config, nt, seconds,
+                                                   after=gauge)
         if all(blobs):
             peaks, checks["peak_probe_outputs"] = measure_peaks(codec, images, blobs,
                                                                 config_kwargs)
         else:  # a compress call failed: there is no container to probe
             peaks, checks["peak_probe_outputs"] = dict.fromkeys(PEAK_KEYS, 0.0), False
-        # Bytes over time pooled across the run's calls: this machine's speed
-        # drifts over tens of seconds, and a pooled rate averages the drift
-        # where a median of per-call rates would jump between its levels.
-        metrics = {key: b / 1e6 / t for key, (b, t) in done.items()}
+        # The median call's rate, scaled to the quiet host (see gauge.py).
+        raw = {key: statistics.median(b / 1e6 / t for b, t in calls)
+               for key, calls in done.items()}
+        slowdown = {threads: gauge.slowdown(threads) for threads in gauge.units}
+        metrics = {key: rate * slowdown[nt if MODES[key][1] else 1] for key, rate in raw.items()}
+        record["raw_MBps"] = raw
+        record["slowdown"] = slowdown
         metrics["ratio"] = original / sum(map(len, blobs)) if all(blobs) else 0.0
         metrics.update(peaks)
         metrics["setup_s"] = setup_s
@@ -352,10 +387,10 @@ def measure(codec, workload, seed, seconds, trace, small=False):
 
         def one_pass(call=plain_call):
             nonlocal attempted, failed
-            done, _, tried, bad = run_calls(codec, images, config, nt, 0.0, call)
+            done, _, tried, bad = run_calls(codec, images, config, nt, call=call)
             attempted += tried
             failed += bad
-            return done["compress_MBps"][1] + done["decompress_MBps"][1]
+            return sum(t for _, t in done["compress_MBps"] + done["decompress_MBps"])
 
         def pair():
             plain_walls.append(one_pass())
@@ -413,6 +448,10 @@ def main(argv=None):
         print(f"check {key}: {'ok' if ok else 'FAILED'}")
     for key, m in result["metrics"].items():
         print(f"{args.workload} {key} = {m['value']:.6g} {m['unit']}")
+    for key, rate in record.get("raw_MBps", {}).items():
+        print(f"{args.workload} {key} unscaled = {rate:.6g} MB/s")
+    for threads, factor in record.get("slowdown", {}).items():
+        print(f"{args.workload} gauge slowdown at {threads} thread(s) = {factor:.6g}")
     print(f"{args.workload} fail_frac = {record['fail_frac']:.6g} frac "
           f"({result['failed']} of {result['attempted']} calls)")
     print(json.dumps(result))
