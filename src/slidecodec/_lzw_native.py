@@ -9,9 +9,10 @@ Importing this module loads the compiled library from a per-user cache
 name keyed by a hash of the C source, the compiler command and the machine.
 When the cache has no such library, the import compiles it once with ``cc``
 (or ``$CC``), writing to a temporary name that is then renamed into place,
-so concurrent interpreters never load a half-written file. Any failure to
-build or load raises ImportError, and ``slidecodec.lzw`` falls back to the
-pure-Python kernels.
+so concurrent interpreters never load a half-written file; it then deletes
+the libraries that earlier sources or compilers left in the cache. Any
+failure to build or load raises ImportError, and ``slidecodec.lzw`` falls
+back to the pure-Python kernels.
 """
 
 import ctypes
@@ -66,6 +67,16 @@ def _build(command: list, target: Path) -> None:
             os.remove(tmp)
 
 
+def _remove_stale(current: Path) -> None:
+    """Delete libraries built from other sources or compilers; best effort."""
+    for old in current.parent.glob("_lzw-*.so"):
+        if old != current:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def _load() -> ctypes.CDLL:
     command = (os.environ.get("CC") or "cc").split() + CFLAGS
     # zlib.crc32, not hashlib: zlib is already loaded, while hashlib would
@@ -75,6 +86,7 @@ def _load() -> ctypes.CDLL:
     path = _cache_dir() / f"_lzw-{key:08x}.so"
     if not path.exists():
         _build(command, path)
+        _remove_stale(path)
     lib = ctypes.CDLL(str(path))
 
     u8p = ctypes.POINTER(ctypes.c_uint8)

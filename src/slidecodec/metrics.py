@@ -116,13 +116,8 @@ def _unpacked_planes(patch, stage):
     if stage == "projected":
         arr = project(arr)
     h, w, c = arr.shape
-    pixels = arr.reshape(-1, c)
-    planes = np.empty((8 * c, h * w), dtype=np.uint8)
-    for ch in range(c):
-        planes[8 * ch : 8 * (ch + 1)] = np.unpackbits(
-            pixels[:, ch][:, np.newaxis], axis=1
-        ).T
-    return planes
+    planes = np.frombuffer(to_bitplanes(arr), dtype=np.uint8).reshape(8 * c, (h * w + 7) // 8)
+    return np.unpackbits(planes, axis=1)[:, : h * w]
 
 
 def psnr_matrix(patch, stage="projected") -> np.ndarray:

@@ -118,7 +118,16 @@ def uncrop(result: CropResult) -> np.ndarray:
     if len(kept_rows) != ch or len(kept_cols) != cw:
         raise StructuralError("removed indices out of range or duplicated")
     if ch and cw:
-        out[np.ix_(kept_rows, kept_cols)] = cropped
+        # Scattering columns, then rows, is about twice as fast as one
+        # np.ix_ scatter. When the kept rows form one block (the usual slide
+        # margins) the column scatter writes straight into out, so no
+        # (ch, w, c) buffer is allocated.
+        r0 = kept_rows[0]
+        block = kept_rows[-1] - r0 == ch - 1
+        rows = out[r0 : r0 + ch] if block else np.zeros((ch, w, nchan), dtype=np.uint8)
+        rows[:, kept_cols] = cropped
+        if not block:
+            out[kept_rows] = rows
     return out
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slidecodec.bitplane import (
     effective_bit_histogram,
@@ -69,6 +72,49 @@ def test_matches_scalar_oracle():
         c = int(rng.choice([1, 3]))
         r = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
         assert to_bitplanes(r) == oracle_to_bitplanes(r)
+
+
+# h*w covers every tail h*w mod 8 from 0 to 7, most with several 8-pixel groups
+@pytest.mark.parametrize("shape", [(1, 9, 3), (3, 6, 1), (1, 19, 3), (4, 5, 1), (3, 7, 3),
+                                   (2, 11, 1), (3, 21, 1), (64, 61, 1), (8, 8, 3)])
+def test_matches_scalar_oracle_every_tail(shape):
+    r = np.random.default_rng(sum(shape) + 100).integers(0, 256, shape, dtype=np.uint8)
+    stream = to_bitplanes(r)
+    assert stream == oracle_to_bitplanes(r)
+    assert (from_bitplanes(stream, *shape) == r).all()
+
+
+def test_non_contiguous_views():
+    # the pipeline hands tile views of the cropped image straight to the
+    # stage when projection is off
+    rng = np.random.default_rng(24)
+    image = rng.integers(0, 256, (40, 50, 4), dtype=np.uint8)
+    for view in (image[3:16, 7:20, :3], image[::3, 1::4, ::2], image[5:6, ::-1, 1:2]):
+        assert not view.flags.c_contiguous
+        stream = to_bitplanes(view)
+        assert stream == oracle_to_bitplanes(view)
+        assert stream == to_bitplanes(np.ascontiguousarray(view))
+        assert (from_bitplanes(stream, *view.shape) == view).all()
+
+
+def test_set_pad_bits_are_ignored():
+    # 0xE1: three data bits, then the lowest of five pad bits set
+    assert from_bitplanes(bytes([0xE1] * 8), 1, 3, 1).reshape(-1).tolist() == [0xFF] * 3
+    r = np.random.default_rng(25).integers(0, 256, (3, 7, 3), dtype=np.uint8)  # 21 pixels
+    stream = bytearray(to_bitplanes(r))
+    for last in range(2, len(stream), 3):  # final byte of each 3-byte plane
+        assert stream[last] & 0x07 == 0
+        stream[last] |= 0x07
+    assert (from_bitplanes(bytes(stream), 3, 7, 3) == r).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20),
+                                  st.sampled_from([1, 3, 4]))))
+def test_round_trip_property(r):
+    stream = to_bitplanes(r)
+    assert len(stream) == plane_stream_size(*r.shape)
+    assert (from_bitplanes(stream, *r.shape) == r).all()
 
 
 def test_pad_bits_are_zero_and_ignored():

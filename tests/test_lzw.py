@@ -176,3 +176,22 @@ def test_pure_backend_env_override():
     )
     assert out.stdout.strip() == "python"
     assert BACKEND in ("native", "python")
+
+
+@pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
+def test_fresh_build_removes_stale_libraries(tmp_path):
+    cache = tmp_path / "slidecodec"
+    cache.mkdir()
+    (cache / "_lzw-deadbeef.so").write_bytes(b"left by an older kernel source")
+    (cache / "unrelated.txt").write_text("kept")
+    src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "from slidecodec import _lzw_native; print(_lzw_native.encode(b'ABABAB', 12).hex())"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == lzw_encode(b"ABABAB", 12).hex()
+    left = sorted(p.name for p in cache.iterdir())
+    assert len(left) == 2 and "unrelated.txt" in left, left
+    assert left[0].startswith("_lzw-") and left[0].endswith(".so")
+    assert left[0] != "_lzw-deadbeef.so"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from slidecodec.container import Container, read_container, write_container
-from slidecodec.errors import CodecError, UnsupportedLayoutError
+from slidecodec.errors import CodecError, StructuralError, UnsupportedLayoutError
 from slidecodec.pipeline import (
     CompressionConfig,
+    CropResult,
     compress,
     crop_empty,
     decompress,
@@ -63,6 +64,29 @@ def test_uncrop_restores_original():
         c = int(rng.choice([1, 3]))
         img = sparse_image(rng, h, w, c)
         assert (uncrop(crop_empty(img)) == img).all()
+
+
+def test_uncrop_margins_and_interior_gaps():
+    # kept rows in one block (margins only) and split by an empty interior row
+    rng = np.random.default_rng(54)
+    img = np.zeros((12, 10, 3), dtype=np.uint8)
+    img[2:9, 1:8] = rng.integers(1, 256, (7, 7, 3), dtype=np.uint8)
+    res = crop_empty(img)
+    assert res.removed_rows == (0, 1, 9, 10, 11)
+    assert (uncrop(res) == img).all()
+    img[5] = 0
+    img[:, 4] = 0
+    res = crop_empty(img)
+    assert res.removed_rows == (0, 1, 5, 9, 10, 11)
+    assert (uncrop(res) == img).all()
+
+
+# a row out of range, a column out of range, too many rows, too few columns
+@pytest.mark.parametrize("rows, cols", [((9,), (1,)), ((0,), (7,)), ((0, 0), (1,)), ((0,), ())])
+def test_uncrop_rejects_bad_metadata(rows, cols):
+    cropped = np.ones((2, 4, 1), dtype=np.uint8)
+    with pytest.raises(StructuralError):
+        uncrop(CropResult(cropped, rows, cols, 3, 5))
 
 
 def test_crop_matches_scalar_rule():
