@@ -6,6 +6,7 @@ success.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container
+from .container import read_container, tile_grid
 from .errors import CodecError
-from .lzw import BACKEND, DEFAULT_MAX_WIDTH
+from .lzw import BACKEND
 from .metrics import compression_ratio, entropy_trace, psnr_matrix
 from .pipeline import CompressionConfig, compress, decompress
 from .rasters import read_image, write_image
@@ -76,7 +77,8 @@ def _add_raster_input_flags(sub):
 
 
 def _add_stage_flags(sub):
-    sub.add_argument("--patch-size", type=int, default=5000, help="tile edge length")
+    sub.add_argument("--patch-size", type=int, default=CompressionConfig.patch_size,
+                     help="tile edge length")
     sub.add_argument(
         "--no-projection", action="store_true", help="skip the residual projection stage"
     )
@@ -86,7 +88,7 @@ def _add_stage_flags(sub):
     sub.add_argument(
         "--lzw-max-width",
         type=int,
-        default=DEFAULT_MAX_WIDTH,
+        default=CompressionConfig.lzw_max_width,
         help="LZW code width ceiling in bits (9-20)",
     )
 
@@ -146,25 +148,23 @@ def cmd_analyze(args) -> int:
     image = _load_raster(args)
     config = _config_from(args)
     h, w, _ = image.shape
-    step = args.patch_size
     patches = []
-    for r in range(0, h, step):
-        for c in range(0, w, step):
-            tile = np.ascontiguousarray(image[r : r + step, c : c + step])
-            entry = {
-                "row": r,
-                "col": c,
-                "height": tile.shape[0],
-                "width": tile.shape[1],
-                "entropy": [
-                    {"stage": stage, "entropy_bits": bits}
-                    for stage, bits in entropy_trace(tile, config).items()
-                ],
-            }
-            if args.psnr:
-                entry["psnr_raw"] = _psnr_records(psnr_matrix(tile, "raw"))
-                entry["psnr_projected"] = _psnr_records(psnr_matrix(tile, "projected"))
-            patches.append(entry)
+    for r, c, th, tw in tile_grid(h, w, config.patch_size):
+        tile = np.ascontiguousarray(image[r : r + th, c : c + tw])
+        entry = {
+            "row": r,
+            "col": c,
+            "height": th,
+            "width": tw,
+            "entropy": [
+                {"stage": stage, "entropy_bits": bits}
+                for stage, bits in entropy_trace(tile, config).items()
+            ],
+        }
+        if args.psnr:
+            entry["psnr_raw"] = _psnr_records(psnr_matrix(tile, "raw"))
+            entry["psnr_projected"] = _psnr_records(psnr_matrix(tile, "projected"))
+        patches.append(entry)
     report = {
         "source": str(args.input),
         "height": h,
@@ -210,11 +210,8 @@ def cmd_bench(args) -> int:
     else:
         combos = (("requested", _config_from(args)),)
     for name, base in combos:
-        config = CompressionConfig(
-            patch_size=args.patch_size,
-            enable_projection=base.enable_projection,
-            enable_bitplane=base.enable_bitplane,
-            lzw_max_width=args.lzw_max_width,
+        config = dataclasses.replace(
+            base, patch_size=args.patch_size, lzw_max_width=args.lzw_max_width
         )
         total_in = total_out = 0
         peak_payload = 0
@@ -285,7 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("analyze", help="entropy trace and optional plane PSNR, as JSON")
+    p = sub.add_parser(
+        "analyze",
+        help="entropy trace and optional plane PSNR, as JSON",
+        description="Patches tile the uncropped input, so their coordinates are "
+        "input pixels and 'raw' is the entropy of the patch as given; compress "
+        "tiles the image after cropping empty rows and columns.",
+    )
     p.add_argument("input")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
     _add_stage_flags(p)

@@ -21,9 +21,10 @@ Byte-exact layout, all integers little-endian:
     payloads         all blobs concatenated in index order
 
 Patch records must tile the cropped image (original minus removed rows and
-columns) in row-major order with no overlap and no gap; writing validates this
-and reading re-validates it. Varints are the usual 7-bits-per-byte encoding
-with the high bit as a continuation flag.
+columns) in row-major order with no overlap and no gap, exactly as
+:func:`tile_grid` lists the tiles; writing validates this and reading
+re-validates it. Varints are the usual 7-bits-per-byte encoding with the high
+bit as a continuation flag.
 """
 
 import struct
@@ -48,6 +49,7 @@ __all__ = [
     "Container",
     "write_container",
     "read_container",
+    "tile_grid",
 ]
 
 MAGIC = b"WISE"
@@ -94,17 +96,11 @@ class Container:
     payloads: tuple = field(repr=False)
 
 
-def _expected_tiling(header, n_removed_rows, n_removed_cols):
-    """Row-major tile grid the patch index must match exactly."""
-    ch = header.original_height - n_removed_rows
-    cw = header.original_width - n_removed_cols
-    p = header.patch_size
-    tiles = []
-    if ch > 0 and cw > 0:
-        for r in range(0, ch, p):
-            for c in range(0, cw, p):
-                tiles.append((r, c, min(p, ch - r), min(p, cw - c)))
-    return tiles
+def tile_grid(height, width, patch_size):
+    """Row-major ``(row, col, height, width)`` tiles; edge tiles keep their true size."""
+    for r in range(0, height, patch_size):
+        for c in range(0, width, patch_size):
+            yield r, c, min(patch_size, height - r), min(patch_size, width - c)
 
 
 def _check_index_list(name, indices, bound):
@@ -134,7 +130,17 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
         raise StructuralError(
             f"{len(records)} patch records but {len(payloads)} payloads"
         )
-    for i, (rec, blob) in enumerate(zip(records, payloads)):
+    # Count first, so the walk below is bounded by the records, not the header.
+    ch = header.original_height - len(removed_rows)
+    cw = header.original_width - len(removed_cols)
+    p = header.patch_size
+    expected = -(-ch // p) * -(-cw // p)
+    if len(records) != expected:
+        raise IndexInconsistencyError(
+            f"patch index has {len(records)} records, but the cropped {ch}x{cw} "
+            f"image at patch size {p} needs {expected} row-major tiles"
+        )
+    for i, (rec, blob, tile) in enumerate(zip(records, payloads, tile_grid(ch, cw, p))):
         if rec.enc_len != len(blob):
             raise StructuralError(
                 f"patch {i}: record says {rec.enc_len} compressed bytes, blob has {len(blob)}"
@@ -146,13 +152,11 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
                 f"patch {i}: uncompressed length {rec.raw_len} does not match "
                 f"{rec.height}x{rec.width}x{header.channels}"
             )
-    expected = _expected_tiling(header, len(removed_rows), len(removed_cols))
-    actual = [(r.row, r.col, r.height, r.width) for r in records]
-    if actual != expected:
-        raise IndexInconsistencyError(
-            f"patch index does not tile the cropped image: expected {len(expected)} "
-            f"row-major tiles, got {actual[:4]}{'...' if len(actual) > 4 else ''}"
-        )
+        if (rec.row, rec.col, rec.height, rec.width) != tile:
+            raise IndexInconsistencyError(
+                f"patch {i}: record is {rec.height}x{rec.width} at ({rec.row}, {rec.col}), "
+                f"row-major tiling needs {tile[2]}x{tile[3]} at ({tile[0]}, {tile[1]})"
+            )
 
 
 def _put_varint(out, value):
@@ -175,14 +179,13 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
     removed_rows = tuple(removed_rows)
     removed_cols = tuple(removed_cols)
     records = tuple(records)
-    payloads = tuple(bytes(p) for p in payloads)
+    payloads = tuple(payloads)
     _validate(header, removed_rows, removed_cols, records, payloads)
 
     flags = (_FLAG_ALPHA if header.alpha_dropped else 0) | (
         header.lzw_max_width << _WIDTH_SHIFT
     )
-    out = bytearray()
-    out += MAGIC
+    out = bytearray(MAGIC)
     out += struct.pack(
         "<HHIIBBI",
         header.version,
@@ -207,9 +210,7 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
             rec.enc_len,
             rec.stage_mask,
         )
-    for blob in payloads:
-        out += blob
-    return bytes(out)
+    return b"".join((out, *payloads))
 
 
 class _Reader:
@@ -252,9 +253,12 @@ class _Reader:
 
 
 def read_container(data: bytes) -> Container:
-    """Parse container bytes; exact inverse of :func:`write_container`."""
-    r = _Reader(bytes(data))
-    magic = r.take(4, "magic")
+    """Parse container bytes; exact inverse of :func:`write_container`.
+
+    Payloads are ``memoryview`` slices of *data*, not copies.
+    """
+    r = _Reader(memoryview(data))
+    magic = bytes(r.take(4, "magic"))
     if magic != MAGIC:
         raise BadMagicError(f"not a container: magic {magic!r} != {MAGIC!r}")
     version, flags = r.unpack("<HH", "header")
@@ -283,12 +287,11 @@ def read_container(data: bytes) -> Container:
             "<IIIIQQB", f"patch record {i}"
         )
         records.append(PatchRecord(row, col, ph, pw, raw_len, enc_len, mask))
-    payloads = []
-    for i, rec in enumerate(records):
-        payloads.append(bytes(r.take(rec.enc_len, f"payload of patch {i}")))
+    records = tuple(records)
+    payloads = tuple(
+        r.take(rec.enc_len, f"payload of patch {i}") for i, rec in enumerate(records)
+    )
     if r.pos != len(r.data):
         raise StructuralError(f"{len(r.data) - r.pos} trailing bytes after payloads")
-    records = tuple(records)
-    payloads = tuple(payloads)
     _validate(header, removed_rows, removed_cols, records, payloads)
     return Container(header, removed_rows, removed_cols, records, payloads)

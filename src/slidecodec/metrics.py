@@ -11,7 +11,7 @@ import numpy as np
 from .bitplane import to_bitplanes
 from .errors import StructuralError
 from .lzw import lzw_encode_trace
-from .pipeline import CompressionConfig
+from .pipeline import CompressionConfig, _stage_chain
 from .transform import project
 
 __all__ = [
@@ -65,24 +65,14 @@ def entropy_trace(patch, config=None) -> dict:
     through, so their entry repeats the previous stage's value.
     """
     config = config or CompressionConfig()
-    arr = patch
-    raw_bytes = np.ascontiguousarray(arr).tobytes()
-    trace = {"raw": shannon_entropy(raw_bytes)}
-
-    if config.enable_projection:
-        arr = project(np.ascontiguousarray(arr))
-        stream = arr.tobytes()
-    else:
-        stream = raw_bytes
-    trace["projection"] = shannon_entropy(stream)
-
-    if config.enable_bitplane:
-        stream = to_bitplanes(arr)
-    trace["bitplane"] = shannon_entropy(stream)
-
+    _, projected, stream = _stage_chain(patch, config)
     codes = lzw_encode_trace(stream, config.lzw_max_width).codes
-    trace["dictionary"] = _code_entropy(codes)
-    return trace
+    return {
+        "raw": shannon_entropy(patch),
+        "projection": shannon_entropy(projected),
+        "bitplane": shannon_entropy(stream),
+        "dictionary": _code_entropy(codes),
+    }
 
 
 def compression_ratio(original_len, compressed_len) -> float:

@@ -25,6 +25,7 @@ from .container import (
     ContainerHeader,
     PatchRecord,
     read_container,
+    tile_grid,
     write_container,
 )
 from .errors import CodecError, CorruptStreamError, StructuralError, UnsupportedLayoutError
@@ -143,14 +144,8 @@ def strip_alpha(image):
     return np.ascontiguousarray(image[:, :, :3]), True
 
 
-def _tile_grid(height, width, patch_size):
-    for r in range(0, height, patch_size):
-        for c in range(0, width, patch_size):
-            yield r, c, min(patch_size, height - r), min(patch_size, width - c)
-
-
-def _encode_tile(tile, row, col, config):
-    h, w, c = tile.shape
+def _stage_chain(tile, config):
+    """(stage mask, array after projection, stream entering LZW) for one tile."""
     mask = STAGE_LZW
     arr = tile
     if config.enable_projection:
@@ -161,6 +156,12 @@ def _encode_tile(tile, row, col, config):
         mask |= STAGE_BITPLANE
     else:
         stream = arr.tobytes()
+    return mask, arr, stream
+
+
+def _encode_tile(tile, row, col, config):
+    h, w, c = tile.shape
+    mask, _, stream = _stage_chain(tile, config)
     payload = lzw_encode(stream, config.lzw_max_width)
     record = PatchRecord(row, col, h, w, h * w * c, len(payload), mask)
     return record, payload
@@ -217,7 +218,7 @@ def compress(image, config=None, threads=1) -> bytes:
     ch, cw, nchan = crop.cropped.shape
     tiles = [
         (crop.cropped[r : r + th, c : c + tw], r, c)
-        for r, c, th, tw in _tile_grid(ch, cw, config.patch_size)
+        for r, c, th, tw in tile_grid(ch, cw, config.patch_size)
     ]
     results = _run(tiles, lambda t: _encode_tile(t[0], t[1], t[2], config), threads)
     header = ContainerHeader(
@@ -238,20 +239,23 @@ def compress(image, config=None, threads=1) -> bytes:
 
 
 def decompress(data, threads=1) -> np.ndarray:
-    """Rebuild the exact image from container bytes (or a parsed Container)."""
+    """Rebuild the exact image from container bytes (or a parsed Container).
+
+    Each tile is decoded straight into its slot; a Container must come from
+    :func:`read_container`, whose validation proves the slots disjoint.
+    """
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header
     ch = hdr.original_height - len(cont.removed_rows)
     cw = hdr.original_width - len(cont.removed_cols)
     cropped = np.zeros((ch, cw, hdr.channels), dtype=np.uint8)
-    decoded = _run(
-        list(zip(cont.records, cont.payloads)),
-        lambda job: _decode_tile(job[0], job[1], hdr.channels, hdr.lzw_max_width),
-        threads,
-    )
-    for record, tile in zip(cont.records, decoded):
-        cropped[record.row : record.row + record.height,
-                record.col : record.col + record.width] = tile
+
+    def place(job):
+        rec, payload = job
+        tile = _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width)
+        cropped[rec.row : rec.row + rec.height, rec.col : rec.col + rec.width] = tile
+
+    _run(list(zip(cont.records, cont.payloads)), place, threads)
     return uncrop(
         CropResult(cropped, cont.removed_rows, cont.removed_cols,
                    hdr.original_height, hdr.original_width)

@@ -141,7 +141,9 @@ def test_analyze_report_schema(tmp_path, capsys):
 
     assert report["height"] == 48 and report["width"] == 40
     assert report["channels"] == 3
-    assert len(report["patches"]) == 4
+    # the uncropped 48x40 input tiled at 32: full, right-edge, bottom-edge, corner
+    assert [(p["row"], p["col"], p["height"], p["width"]) for p in report["patches"]] == [
+        (0, 0, 32, 32), (0, 32, 32, 8), (32, 0, 16, 32), (32, 32, 16, 8)]
     for patch in report["patches"]:
         stages = [e["stage"] for e in patch["entropy"]]
         assert stages == list(ENTROPY_STAGES)

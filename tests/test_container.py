@@ -1,3 +1,8 @@
+import signal
+import struct
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -122,6 +127,13 @@ def test_tiling_mismatch_rejected():
     with pytest.raises(IndexInconsistencyError):
         write_container(header, (), (), (rec,), (b"hi",))
 
+    # right record count, but record 2 is shifted one column to the right
+    header = ContainerHeader(4, 4, 1, 2)
+    recs = tuple(PatchRecord(r, c, 2, 2, 4, 1, 0)
+                 for r, c in [(0, 0), (0, 2), (2, 1), (2, 2)])
+    with pytest.raises(IndexInconsistencyError, match=r"^patch 2: "):
+        write_container(header, (), (), recs, (b"a",) * 4)
+
 
 def test_overlapping_tiles_rejected():
     header = ContainerHeader(4, 4, 1, 2)
@@ -181,3 +193,42 @@ def test_zero_patch_container():
     parsed = read_container(blob)
     assert parsed.records == ()
     assert parsed.payloads == ()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _huge_claim_header():
+    # 28-byte version-1 container: 100000 x 100000 x 3 at patch size 1, no
+    # removed rows or columns, zero patch records, no payloads
+    return (MAGIC + struct.pack("<HHIIBBI", 1, 16 << 1, 100_000, 100_000, 3, 8, 1)
+            + b"\x00\x00" + struct.pack("<I", 0))
+
+
+def _height_mutated_container():
+    rng = np.random.default_rng(43)
+    img = rng.integers(1, 256, (4, 3, 1), dtype=np.uint8)
+    blob = bytearray(compress(img, CompressionConfig(patch_size=1)))
+    blob[15] = 0x7F  # high byte of the u32 height: 4 becomes 0x7F000004
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("make", [_huge_claim_header, _height_mutated_container])
+def test_index_checked_before_tiling_a_huge_claim(make):
+    blob = make()
+    start = time.perf_counter()
+    with _deadline(1.0), pytest.raises(IndexInconsistencyError):
+        read_container(blob)
+    assert time.perf_counter() - start < 1.0
