@@ -68,7 +68,7 @@ def bench(size: int, repeats: int, max_width: int, seed: int) -> int:
             return 1
         for backend, mod in backends:
             enc_s = _best_time(mod.encode, data, max_width, repeats=repeats)
-            dec_s = _best_time(mod.decode, encoded[backend], max_width,
+            dec_s = _best_time(mod.decode, encoded[backend], max_width, len(data),
                                repeats=repeats)
             rows.append((name, backend,
                          len(data) / enc_s / 1e6, len(data) / dec_s / 1e6,

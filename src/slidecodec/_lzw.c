@@ -5,9 +5,12 @@
    compiler and calls it through ctypes, which releases the interpreter lock
    for the length of each call, so patch workers overlap.
 
-   Output buffers are malloc'd here and grown with realloc; the caller copies
-   them out and releases them with lzw_free. Every entry point returns one of
-   the LZW_* status codes and fills an lzw_result. */
+   Output buffers are malloc'd here: the encoder grows its buffer with
+   realloc, while the decoder allocates the caller's expected size once and
+   stops as soon as the stream disagrees with it, so its output is never
+   grown. The caller copies the output out and releases it with lzw_free.
+   Every entry point returns one of the LZW_* status codes and fills an
+   lzw_result. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -16,10 +19,10 @@
 
 enum { CLEAR = 256, END = 257, FIRST_CODE = 258, MIN_WIDTH = 9 };
 
-enum { LZW_OK = 0, LZW_TRUNCATED = 1, LZW_CORRUPT = 2, LZW_NOMEM = 3 };
+enum { LZW_OK = 0, LZW_TRUNCATED = 1, LZW_CORRUPT = 2, LZW_NOMEM = 3, LZW_LENGTH = 4 };
 
 typedef struct {
-    size_t len;        /* bytes in *out */
+    size_t len;        /* bytes in *out; on LZW_LENGTH, the length decoded */
     size_t ncodes;     /* encode: codes written to the caller's code buffer */
     size_t pos;        /* decode: input bytes consumed */
     int32_t code;      /* decode: the last code read */
@@ -210,11 +213,13 @@ done:
     return status;
 }
 
-/* Decode src[0:n] up to its END code. On LZW_OK *out holds res->len bytes;
-   on LZW_TRUNCATED res->pos, and on LZW_CORRUPT res->code and
-   res->next_code, say where the stream went wrong. */
-int lzw_decode(const uint8_t *src, size_t n, int max_width, uint8_t **out,
-               lzw_result *res)
+/* Decode src[0:n] up to its END code into exactly size bytes. On LZW_OK
+   *out holds them; on LZW_TRUNCATED res->pos, and on LZW_CORRUPT res->code
+   and res->next_code, say where the stream went wrong. LZW_LENGTH means the
+   code read by res->pos would take the output to res->len > size bytes, or
+   END arrived after only res->len < size. */
+int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size,
+               uint8_t **out, lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     /* Every code read after the first adds at most one entry, and a stream
@@ -226,8 +231,8 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, uint8_t **out,
     int32_t *length = malloc(entries * sizeof *length);
     uint8_t *suffix = malloc(entries);
     uint8_t *first = malloc(entries);
-    size_t cap = 4 * n + 64, len = 0, pos = 0;
-    uint8_t *buf = malloc(cap);
+    size_t len = 0, pos = 0;
+    uint8_t *buf = malloc(size ? size : 1);
 
     int status = LZW_NOMEM;
     if (!prefix || !length || !suffix || !first || !buf)
@@ -275,12 +280,11 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, uint8_t **out,
             status = LZW_CORRUPT;
             goto done;
         }
-        while (len + (size_t)cur_len > cap) {
-            uint8_t *grown = realloc(buf, 2 * cap);
-            if (!grown)
-                goto done;
-            buf = grown;
-            cap *= 2;
+        if ((size_t)cur_len > size - len) {
+            res->len = len + (size_t)cur_len;
+            res->pos = pos;
+            status = LZW_LENGTH;
+            goto done;
         }
         /* materialise cur by walking its (prefix, suffix) chain backwards */
         size_t tail = len + (size_t)cur_len - 1;
@@ -311,7 +315,8 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, uint8_t **out,
         have_prev = 1;
     }
     res->len = len;
-    status = LZW_OK;
+    res->pos = pos;
+    status = len == size ? LZW_OK : LZW_LENGTH;
 
 done:
     free(prefix);

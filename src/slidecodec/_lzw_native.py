@@ -28,7 +28,7 @@ SOURCE = Path(__file__).with_name("_lzw.c")
 CFLAGS = ["-O2", "-shared", "-fPIC"]
 
 # Status codes returned by every kernel entry point (see _lzw.c).
-_OK, _TRUNCATED, _CORRUPT, _NOMEM = range(4)
+_OK, _TRUNCATED, _CORRUPT, _NOMEM, _LENGTH = range(5)
 
 
 class _Result(ctypes.Structure):
@@ -96,7 +96,7 @@ def _load() -> ctypes.CDLL:
                                ctypes.POINTER(u8p), result_p]
     lib.lzw_encode.restype = ctypes.c_int
     lib.lzw_decode.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int,
-                               ctypes.POINTER(u8p), result_p]
+                               ctypes.c_size_t, ctypes.POINTER(u8p), result_p]
     lib.lzw_decode.restype = ctypes.c_int
     lib.lzw_max_codes.argtypes = [ctypes.c_size_t, ctypes.c_int]
     lib.lzw_max_codes.restype = ctypes.c_size_t
@@ -111,8 +111,11 @@ except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
     raise ImportError(f"native LZW kernel unavailable: {exc}") from exc
 
 
-def _take(status: int, out, res: _Result) -> bytes:
-    """Copy the kernel's output buffer into bytes and free it, or raise."""
+def _take(status: int, out, res: _Result, size: int = 0) -> bytes:
+    """Copy the kernel's output buffer into bytes and free it, or raise.
+
+    ``size`` is the decoded length a decode call expected.
+    """
     try:
         if status == _OK:
             return ctypes.string_at(out, res.len)
@@ -123,6 +126,14 @@ def _take(status: int, out, res: _Result) -> bytes:
     if status == _CORRUPT:
         raise CorruptStreamError(
             f"code {res.code} is beyond the dictionary (next would be {res.next_code})"
+        )
+    if status == _LENGTH and res.len > size:
+        raise CorruptStreamError(
+            f"code read by byte {res.pos} decodes past the expected {size} bytes"
+        )
+    if status == _LENGTH:
+        raise CorruptStreamError(
+            f"END read by byte {res.pos} after {res.len} of the expected {size} bytes"
         )
     raise MemoryError()
 
@@ -146,9 +157,9 @@ def encode_trace(data: bytes, max_width: int) -> tuple:
     return packed, codes[:res.ncodes], res.peak
 
 
-def decode(data: bytes, max_width: int) -> bytes:
+def decode(data: bytes, max_width: int, size: int) -> bytes:
     out = ctypes.POINTER(ctypes.c_uint8)()
     res = _Result()
-    status = _lib.lzw_decode(data, len(data), max_width,
+    status = _lib.lzw_decode(data, len(data), max_width, size,
                              ctypes.byref(out), ctypes.byref(res))
-    return _take(status, out, res)
+    return _take(status, out, res, size)

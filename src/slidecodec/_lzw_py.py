@@ -93,7 +93,8 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
     return bytes(out), max(peak, next_code)
 
 
-def decode(data: bytes, max_width: int) -> bytes:
+def decode(data: bytes, max_width: int, size: int) -> bytes:
+    """Decode up to END into exactly ``size`` bytes, or raise CorruptStreamError."""
     capacity = 1 << max_width
     table: list[bytes] = []
     next_code = FIRST_CODE
@@ -124,6 +125,10 @@ def decode(data: bytes, max_width: int) -> bytes:
         acc &= (1 << nbits) - 1  # drop consumed bits so acc stays small
 
         if code == END:
+            if len(out) != size:
+                raise CorruptStreamError(
+                    f"END read by byte {pos} after {len(out)} of the expected {size} bytes"
+                )
             return bytes(out)
         if code == CLEAR:
             table.clear()
@@ -139,6 +144,10 @@ def decode(data: bytes, max_width: int) -> bytes:
         else:
             raise CorruptStreamError(
                 f"code {code} is beyond the dictionary (next would be {next_code})"
+            )
+        if len(cur) > size - len(out):
+            raise CorruptStreamError(
+                f"code read by byte {pos} decodes past the expected {size} bytes"
             )
         if have_prev and next_code < capacity:
             table.append(prev + cur[:1])

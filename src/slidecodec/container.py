@@ -17,13 +17,15 @@ Byte-exact layout, all integers little-endian:
     patch count      u32
     patch records    per patch: origin row u32, origin col u32, patch height
                      u32, patch width u32, uncompressed length u64, compressed
-                     length u64, stage mask u8
+                     length u64, stage mask u8 (1 = projection,
+                     2 = bit-plane, 4 = LZW; LZW is always set)
     payloads         all blobs concatenated in index order
 
 Patch records must tile the cropped image (original minus removed rows and
 columns) in row-major order with no overlap and no gap, exactly as
-:func:`tile_grid` lists the tiles; writing validates this and reading
-re-validates it. Varints are the usual 7-bits-per-byte encoding with the high
+:func:`tile_grid` lists the tiles, and every stage mask has the LZW bit;
+building a :class:`Container` validates this, and both writing and reading
+build one. Varints are the usual 7-bits-per-byte encoding with the high
 bit as a continuation flag.
 """
 
@@ -89,11 +91,17 @@ class PatchRecord:
 
 @dataclass(frozen=True)
 class Container:
+    """A parsed or to-be-written container, validated when it is built."""
+
     header: ContainerHeader
     removed_rows: tuple
     removed_cols: tuple
     records: tuple
     payloads: tuple = field(repr=False)
+
+    def __post_init__(self):
+        _validate(self.header, self.removed_rows, self.removed_cols,
+                  self.records, self.payloads)
 
 
 def tile_grid(height, width, patch_size):
@@ -147,6 +155,8 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
             )
         if rec.stage_mask & ~(STAGE_PROJECTION | STAGE_BITPLANE | STAGE_LZW):
             raise StructuralError(f"patch {i}: unknown stage mask bits {rec.stage_mask:#x}")
+        if not rec.stage_mask & STAGE_LZW:
+            raise StructuralError(f"patch {i}: stage mask {rec.stage_mask:#x} lacks LZW")
         if rec.raw_len != rec.height * rec.width * header.channels:
             raise StructuralError(
                 f"patch {i}: uncompressed length {rec.raw_len} does not match "
@@ -176,11 +186,8 @@ def _put_index_list(out, indices):
 
 def write_container(header, removed_rows, removed_cols, records, payloads) -> bytes:
     """Serialize a container; identical inputs always yield identical bytes."""
-    removed_rows = tuple(removed_rows)
-    removed_cols = tuple(removed_cols)
-    records = tuple(records)
-    payloads = tuple(payloads)
-    _validate(header, removed_rows, removed_cols, records, payloads)
+    cont = Container(header, tuple(removed_rows), tuple(removed_cols),
+                     tuple(records), tuple(payloads))
 
     flags = (_FLAG_ALPHA if header.alpha_dropped else 0) | (
         header.lzw_max_width << _WIDTH_SHIFT
@@ -196,10 +203,10 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
         header.bit_depth,
         header.patch_size,
     )
-    _put_index_list(out, removed_rows)
-    _put_index_list(out, removed_cols)
-    out += struct.pack("<I", len(records))
-    for rec in records:
+    _put_index_list(out, cont.removed_rows)
+    _put_index_list(out, cont.removed_cols)
+    out += struct.pack("<I", len(cont.records))
+    for rec in cont.records:
         out += struct.pack(
             "<IIIIQQB",
             rec.row,
@@ -210,7 +217,7 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
             rec.enc_len,
             rec.stage_mask,
         )
-    return b"".join((out, *payloads))
+    return b"".join((out, *cont.payloads))
 
 
 class _Reader:
@@ -293,5 +300,4 @@ def read_container(data: bytes) -> Container:
     )
     if r.pos != len(r.data):
         raise StructuralError(f"{len(r.data) - r.pos} trailing bytes after payloads")
-    _validate(header, removed_rows, removed_cols, records, payloads)
     return Container(header, removed_rows, removed_cols, records, payloads)

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from . import _lzw_py
 from ._lzw_py import CLEAR, END, MIN_WIDTH
+from .errors import TruncatedStreamError
 
 __all__ = [
     "BACKEND",
@@ -65,10 +66,26 @@ def lzw_encode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
     return _kernel.encode(bytes(data), max_width)
 
 
-def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
-    """Exact inverse of :func:`lzw_encode` for the same max_width."""
+def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) -> bytes:
+    """Exact inverse of :func:`lzw_encode` for the same max_width.
+
+    ``size`` is the decoded length (a patch record states it). A stream too
+    short to reach it raises TruncatedStreamError before anything is
+    allocated; decoding raises CorruptStreamError as soon as a code would
+    pass ``size``, or when END arrives short of it.
+    """
     _check_width(max_width)
-    return _kernel.decode(bytes(data), max_width)
+    if size < 0:
+        raise ValueError(f"size must be non-negative, got {size}")
+    # n bytes hold at most m = 8n // 9 codes, the last of them END, and the
+    # j-th data code after a reset stands for at most j bytes
+    m = 8 * len(data) // MIN_WIDTH
+    if size > m * (m - 1) // 2:
+        raise TruncatedStreamError(
+            f"a {len(data)}-byte stream decodes to at most {m * (m - 1) // 2} bytes, "
+            f"not {size}"
+        )
+    return _kernel.decode(bytes(data), max_width, size)
 
 
 def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTrace:

@@ -28,7 +28,7 @@ from .container import (
     tile_grid,
     write_container,
 )
-from .errors import CodecError, CorruptStreamError, StructuralError, UnsupportedLayoutError
+from .errors import CodecError, StructuralError, UnsupportedLayoutError
 from .lzw import DEFAULT_MAX_WIDTH, lzw_decode, lzw_encode
 from .transform import project, unproject
 
@@ -168,19 +168,14 @@ def _encode_tile(tile, row, col, config):
 
 
 def _decode_tile(record, payload, channels, max_width):
+    bitplane = record.stage_mask & STAGE_BITPLANE
     try:
-        data = payload
-        if record.stage_mask & STAGE_LZW:
-            data = lzw_decode(data, max_width)
-        if record.stage_mask & STAGE_BITPLANE:
-            expected = plane_stream_size(record.height, record.width, channels)
+        if bitplane:
+            size = plane_stream_size(record.height, record.width, channels)
         else:
-            expected = record.raw_len
-        if len(data) != expected:
-            raise CorruptStreamError(
-                f"stage chain produced {len(data)} bytes, expected {expected}"
-            )
-        if record.stage_mask & STAGE_BITPLANE:
+            size = record.raw_len
+        data = lzw_decode(payload, max_width, size=size)
+        if bitplane:
             arr = from_bitplanes(data, record.height, record.width, channels)
         else:
             arr = np.frombuffer(data, dtype=np.uint8).reshape(
@@ -241,8 +236,8 @@ def compress(image, config=None, threads=1) -> bytes:
 def decompress(data, threads=1) -> np.ndarray:
     """Rebuild the exact image from container bytes (or a parsed Container).
 
-    Each tile is decoded straight into its slot; a Container must come from
-    :func:`read_container`, whose validation proves the slots disjoint.
+    Each tile is decoded straight into its slot; every Container is validated
+    when it is built, which proves the slots disjoint.
     """
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header

@@ -1,11 +1,11 @@
-import signal
+import dataclasses
 import struct
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from deadline import deadline
 from slidecodec.container import (
     MAGIC,
     STAGE_BITPLANE,
@@ -73,7 +73,7 @@ def test_index_lists_round_trip_large_gaps():
     header = ContainerHeader(5, 1000, 1, 4096)
     removed = tuple(range(0, 1000, 7))
     rec_h = 1000 - len(removed)
-    rec = PatchRecord(0, 0, rec_h, 5, rec_h * 5, 3, 0)
+    rec = PatchRecord(0, 0, rec_h, 5, rec_h * 5, 3, STAGE_LZW)
     blob = write_container(header, removed, (), (rec,), (b"abc",))
     parsed = read_container(blob)
     assert parsed.removed_rows == removed
@@ -116,20 +116,20 @@ def test_alpha_flag_round_trip():
 @pytest.mark.parametrize("width", [9, 12, 16, 20])
 def test_width_flag_round_trip(width):
     header = ContainerHeader(3, 2, 1, 16, lzw_max_width=width)
-    rec = PatchRecord(0, 0, 2, 3, 6, 2, 0)
+    rec = PatchRecord(0, 0, 2, 3, 6, 2, STAGE_LZW)
     blob = write_container(header, (), (), (rec,), (b"hi",))
     assert read_container(blob).header.lzw_max_width == width
 
 
 def test_tiling_mismatch_rejected():
     header = ContainerHeader(3, 2, 1, 16)
-    rec = PatchRecord(0, 0, 1, 3, 3, 2, 0)  # misses the second row
+    rec = PatchRecord(0, 0, 1, 3, 3, 2, STAGE_LZW)  # misses the second row
     with pytest.raises(IndexInconsistencyError):
         write_container(header, (), (), (rec,), (b"hi",))
 
     # right record count, but record 2 is shifted one column to the right
     header = ContainerHeader(4, 4, 1, 2)
-    recs = tuple(PatchRecord(r, c, 2, 2, 4, 1, 0)
+    recs = tuple(PatchRecord(r, c, 2, 2, 4, 1, STAGE_LZW)
                  for r, c in [(0, 0), (0, 2), (2, 1), (2, 2)])
     with pytest.raises(IndexInconsistencyError, match=r"^patch 2: "):
         write_container(header, (), (), recs, (b"a",) * 4)
@@ -137,7 +137,7 @@ def test_tiling_mismatch_rejected():
 
 def test_overlapping_tiles_rejected():
     header = ContainerHeader(4, 4, 1, 2)
-    recs = tuple(PatchRecord(r, c, 2, 2, 4, 1, 0)
+    recs = tuple(PatchRecord(r, c, 2, 2, 4, 1, STAGE_LZW)
                  for r, c in [(0, 0), (0, 0), (2, 0), (2, 2)])
     with pytest.raises(IndexInconsistencyError):
         write_container(header, (), (), recs, (b"a",) * 4)
@@ -145,7 +145,7 @@ def test_overlapping_tiles_rejected():
 
 def test_raw_len_mismatch_rejected():
     header = ContainerHeader(3, 2, 1, 16)
-    rec = PatchRecord(0, 0, 2, 3, 5, 2, 0)
+    rec = PatchRecord(0, 0, 2, 3, 5, 2, STAGE_LZW)
     with pytest.raises(StructuralError):
         write_container(header, (), (), (rec,), (b"hi",))
 
@@ -158,9 +158,22 @@ def test_payload_length_mismatch_rejected():
 
 def test_unknown_stage_bits_rejected():
     header = ContainerHeader(3, 2, 1, 16)
-    rec = PatchRecord(0, 0, 2, 3, 6, 2, 0x08)
-    with pytest.raises(StructuralError):
-        write_container(header, (), (), (rec,), (b"hi",))
+    # 0x08 is no stage at all; 0x3 lacks the LZW bit, which is always set
+    for mask in (0x08, 0x3):
+        rec = PatchRecord(0, 0, 2, 3, 6, 2, mask)
+        with pytest.raises(StructuralError):
+            write_container(header, (), (), (rec,), (b"hi",))
+
+
+def test_container_validated_when_built():
+    rng = np.random.default_rng(44)
+    img = rng.integers(1, 256, (8, 8, 1), dtype=np.uint8)
+    parsed = read_container(compress(img, CompressionConfig(patch_size=4)))
+    records = list(parsed.records)
+    records[3] = dataclasses.replace(records[3], row=6, col=6)
+    with pytest.raises(IndexInconsistencyError, match=r"^patch 3: "):
+        Container(parsed.header, parsed.removed_rows, parsed.removed_cols,
+                  tuple(records), parsed.payloads)
 
 
 def test_nonincreasing_removed_rows_rejected():
@@ -195,21 +208,6 @@ def test_zero_patch_container():
     assert parsed.payloads == ()
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block if it runs longer than seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _huge_claim_header():
     # 28-byte version-1 container: 100000 x 100000 x 3 at patch size 1, no
     # removed rows or columns, zero patch records, no payloads
@@ -229,6 +227,6 @@ def _height_mutated_container():
 def test_index_checked_before_tiling_a_huge_claim(make):
     blob = make()
     start = time.perf_counter()
-    with _deadline(1.0), pytest.raises(IndexInconsistencyError):
+    with deadline(1.0), pytest.raises(IndexInconsistencyError):
         read_container(blob)
     assert time.perf_counter() - start < 1.0

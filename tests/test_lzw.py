@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slidecodec import _lzw_py
-from slidecodec.errors import CorruptStreamError, TruncatedStreamError
+from slidecodec.errors import CodecError, CorruptStreamError, TruncatedStreamError
 from slidecodec.lzw import (
     BACKEND,
     CLEAR,
@@ -18,6 +18,7 @@ from slidecodec.lzw import (
     lzw_encode_trace,
 )
 
+from deadline import deadline
 from oracles import oracle_lzw_codes, oracle_pack
 
 try:  # imported directly, so it is built even when SLIDECODEC_PURE is set
@@ -32,7 +33,7 @@ _HAVE_CC = shutil.which((os.environ.get("CC") or "cc").split()[0]) is not None
 def test_golden_ababab():
     trace = lzw_encode_trace(b"ABABAB")
     assert list(trace.codes) == [65, 66, 258, 258, 257]
-    assert lzw_decode(trace.packed) == b"ABABAB"
+    assert lzw_decode(trace.packed, size=6) == b"ABABAB"
 
 
 def test_golden_ababab_packed_bytes():
@@ -42,20 +43,20 @@ def test_golden_ababab_packed_bytes():
 def test_empty_input():
     trace = lzw_encode_trace(b"")
     assert list(trace.codes) == [END]
-    assert lzw_decode(trace.packed) == b""
+    assert lzw_decode(trace.packed, size=0) == b""
 
 
 def test_self_referential_code():
     # "AAA" emits code 258 before the decoder has stored it
     trace = lzw_encode_trace(b"AAA")
     assert list(trace.codes) == [65, 258, 257]
-    assert lzw_decode(trace.packed) == b"AAA"
+    assert lzw_decode(trace.packed, size=3) == b"AAA"
 
 
 def test_long_zero_run_code_count():
     trace = lzw_encode_trace(b"\x00" * 1000)
     assert len(trace.codes) == 46
-    assert lzw_decode(trace.packed) == b"\x00" * 1000
+    assert lzw_decode(trace.packed, size=1000) == b"\x00" * 1000
 
 
 def test_repetitive_input_compresses():
@@ -63,7 +64,7 @@ def test_repetitive_input_compresses():
     packed = lzw_encode(data)
     assert len(packed) == 529
     assert len(packed) < 0.05 * len(data)
-    assert lzw_decode(packed) == data
+    assert lzw_decode(packed, size=len(data)) == data
 
 
 def test_exhaustive_binary_strings_against_oracle():
@@ -73,7 +74,7 @@ def test_exhaustive_binary_strings_against_oracle():
         for s in strings:
             trace = lzw_encode_trace(s)
             assert list(trace.codes) == oracle_lzw_codes(s)
-            assert lzw_decode(trace.packed) == s
+            assert lzw_decode(trace.packed, size=len(s)) == s
 
 
 def test_random_streams_against_oracle():
@@ -87,7 +88,7 @@ def test_random_streams_against_oracle():
         assert list(trace.codes) == oracle_lzw_codes(data, width)
         assert oracle_pack(list(trace.codes), width) == trace.packed
         assert lzw_encode(data, width) == trace.packed
-        assert lzw_decode(trace.packed, width) == data
+        assert lzw_decode(trace.packed, width, size=len(data)) == data
 
 
 def test_dictionary_reset_on_full():
@@ -96,7 +97,7 @@ def test_dictionary_reset_on_full():
     trace = lzw_encode_trace(data, 9)
     assert CLEAR in trace.codes
     assert trace.peak_next_code <= 512
-    assert lzw_decode(trace.packed, 9) == data
+    assert lzw_decode(trace.packed, 9, size=len(data)) == data
 
 
 def test_dictionary_bound_holds():
@@ -125,31 +126,84 @@ def test_width_range_enforced(width):
     with pytest.raises(ValueError):
         lzw_encode(b"x", width)
     with pytest.raises(ValueError):
-        lzw_decode(b"\x00\x00", width)
+        lzw_decode(b"\x00\x00", width, size=0)
 
 
 def test_truncated_stream_detected():
     packed = lzw_encode(b"ABCDEF")
     for cut in (1, 2, len(packed) - 1):
         with pytest.raises(TruncatedStreamError):
-            lzw_decode(packed[:cut])
+            lzw_decode(packed[:cut], size=6)
 
 
 def test_code_beyond_dictionary_detected():
-    # 300 is far past next_code 258 on the first emission
-    with pytest.raises(CorruptStreamError):
-        lzw_decode(oracle_pack([300, END]))
+    # 300 is far past next_code 258 on the first emission; the 3-byte
+    # stream can reach size 1, so the code check is what rejects it
+    with pytest.raises(CorruptStreamError, match="beyond the dictionary"):
+        lzw_decode(oracle_pack([300, END]), size=1)
 
 
 def test_self_reference_without_prefix_detected():
-    with pytest.raises(CorruptStreamError):
-        lzw_decode(oracle_pack([258, END]))
+    with pytest.raises(CorruptStreamError, match="beyond the dictionary"):
+        lzw_decode(oracle_pack([258, END]), size=1)
 
 
 def test_round_trip_large_random():
     rng = np.random.default_rng(35)
     data = bytes(rng.integers(0, 256, 1 << 20, dtype=np.uint8))
-    assert lzw_decode(lzw_encode(data)) == data
+    assert lzw_decode(lzw_encode(data), size=len(data)) == data
+
+
+def _outcome(decode, *args):
+    """The decoded bytes, or the (class, message) of the error raised."""
+    try:
+        return decode(*args)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(params=["python", "native"])
+def kernel(request):
+    if request.param == "python":
+        return _lzw_py
+    if not _HAVE_CC:
+        pytest.skip("no C compiler to build the native LZW kernel")
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    return _lzw_native
+
+
+def test_runaway_stream_stops_at_size(kernel):
+    # codes 0, 258..65535, END at width 16: each data code repeats the
+    # previous phrase plus its first byte, so the stream decodes to 2.13 GB
+    probe = oracle_pack([0, *range(258, 1 << 16), END], 16)
+    assert len(probe) == 122_657
+    with deadline(1.0), pytest.raises(CorruptStreamError) as err:
+        kernel.decode(probe, 16, 196_608)
+    # phrases 1..626 fill 196,251 bytes; the 627th code (255 codes at 9 bits,
+    # 372 at 10, 6,015 bits) would pass 196,608
+    assert str(err.value) == "code read by byte 752 decodes past the expected 196608 bytes"
+
+
+def test_size_above_decoded_length(kernel):
+    packed = lzw_encode(b"ABABAB")  # 6 bytes hold at most 5 codes, so up to 10 bytes
+    assert kernel.decode(packed, 16, 6) == b"ABABAB"
+    with pytest.raises(CorruptStreamError) as err:
+        kernel.decode(packed, 16, 7)
+    assert str(err.value) == "END read by byte 6 after 6 of the expected 7 bytes"
+    with pytest.raises(CorruptStreamError) as err:
+        kernel.decode(packed, 16, 5)
+    assert str(err.value) == "code read by byte 5 decodes past the expected 5 bytes"
+
+
+def test_unreachable_size_rejected_before_decoding():
+    packed = lzw_encode(b"AB")  # 4 bytes hold at most 3 codes: 2 data codes, END
+    assert lzw_decode(packed, size=2) == b"AB"
+    with pytest.raises(TruncatedStreamError, match="at most 3 bytes, not 4"):
+        lzw_decode(packed, size=4)
+    with pytest.raises(TruncatedStreamError):
+        lzw_decode(b"", size=1)
+    with pytest.raises(ValueError):
+        lzw_decode(packed, size=-1)
 
 
 @pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
@@ -164,8 +218,21 @@ def test_backends_byte_identical():
         packed = _lzw_native.encode(data, width)
         assert packed == _lzw_py.encode(data, width)
         assert _lzw_native.encode_trace(data, width) == _lzw_py.encode_trace(data, width)
-        assert _lzw_native.decode(packed, width) == data
-        assert _lzw_py.decode(packed, width) == data
+        assert _lzw_native.decode(packed, width, n) == data
+        assert _lzw_py.decode(packed, width, n) == data
+
+    # damaged streams and wrong sizes fail alike: same class, same message
+    for _ in range(200):
+        data = bytes(rng.integers(0, int(rng.choice([2, 8, 256])),
+                                  int(rng.integers(0, 600)), dtype=np.uint8))
+        width = int(rng.choice([9, 12, 16]))
+        stream = bytearray(_lzw_py.encode(data, width))
+        for _ in range(int(rng.integers(0, 4))):
+            stream[int(rng.integers(len(stream)))] = int(rng.integers(256))
+        stream = bytes(stream[:int(rng.integers(1, len(stream) + 1))])
+        size = len(data) if rng.random() < 0.5 else int(rng.integers(0, 2 * len(data) + 8))
+        assert _outcome(_lzw_native.decode, stream, width, size) == \
+            _outcome(_lzw_py.decode, stream, width, size)
 
 
 def test_pure_backend_env_override():
@@ -195,3 +262,15 @@ def test_fresh_build_removes_stale_libraries(tmp_path):
     assert len(left) == 2 and "unrelated.txt" in left, left
     assert left[0].startswith("_lzw-") and left[0].endswith(".so")
     assert left[0] != "_lzw-deadbeef.so"
+
+
+def test_backend_bench_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "benchmarks", "backend_bench.py"),
+         "--size", "4096", "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

@@ -1,9 +1,19 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from slidecodec.container import Container, read_container, write_container
+from deadline import deadline
+from oracles import END, oracle_pack
+from slidecodec.container import (
+    STAGE_LZW,
+    Container,
+    ContainerHeader,
+    PatchRecord,
+    read_container,
+    write_container,
+)
 from slidecodec.errors import CodecError, StructuralError, UnsupportedLayoutError
 from slidecodec.pipeline import (
     CompressionConfig,
@@ -213,3 +223,26 @@ def test_patch_grid_covers_edges():
     assert len(parsed.records) == 16
     last = parsed.records[-1]
     assert (last.row, last.col, last.height, last.width) == (48, 48, 2, 2)
+
+
+@pytest.mark.parametrize("width, side", [(16, 256), (12, 64)])
+def test_runaway_tile_stops_at_record_size(width, side):
+    # codes 0, 258, ..., END: each data code repeats the previous phrase plus
+    # its first byte, so the payload alone decodes to 2.13 GB (width 16,
+    # 122,657 bytes) or 7.37 MB (width 12, 5,409 bytes); the record says
+    # side x side x 3 bytes
+    payload = oracle_pack([0, *range(258, 1 << width), END], width)
+    raw_len = side * side * 3
+    header = ContainerHeader(side, side, 3, side, lzw_max_width=width)
+    rec = PatchRecord(0, 0, side, side, raw_len, len(payload), STAGE_LZW)
+    blob = write_container(header, (), (), (rec,), (payload,))
+    tracemalloc.start()
+    try:
+        with deadline(1.0), pytest.raises(CodecError, match=r"^patch at row 0, col 0: "):
+            decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the input copy, the output image and, on the pure kernel, the decoded
+    # bytes and its phrase table; none is sized by what the payload decodes to
+    assert peak < 2 * len(blob) + 5 * raw_len, peak
