@@ -10,7 +10,9 @@ name keyed by a hash of the C source, the compiler command and the machine.
 When the cache has no such library, the import compiles it once with ``cc``
 (or ``$CC``), writing to a temporary name that is then renamed into place,
 so concurrent interpreters never load a half-written file; it then deletes
-the libraries that earlier sources or compilers left in the cache. Any
+all but the ``KEEP_LIBRARIES`` most recently built libraries, so checkouts
+with different sources or compilers can share the cache without rebuilding
+on every switch. Any
 failure to build or load raises ImportError, and ``slidecodec.lzw`` falls
 back to the pure-Python kernels.
 """
@@ -26,6 +28,7 @@ from .errors import CorruptStreamError, TruncatedStreamError
 
 SOURCE = Path(__file__).with_name("_lzw.c")
 CFLAGS = ["-O2", "-shared", "-fPIC"]
+KEEP_LIBRARIES = 4  # cached builds kept, newest by modification time
 
 # Status codes returned by every kernel entry point (see _lzw.c).
 _OK, _TRUNCATED, _CORRUPT, _NOMEM, _LENGTH = range(5)
@@ -68,8 +71,15 @@ def _build(command: list, target: Path) -> None:
 
 
 def _remove_stale(current: Path) -> None:
-    """Delete libraries built from other sources or compilers; best effort."""
-    for old in current.parent.glob("_lzw-*.so"):
+    """Delete all but the newest ``KEEP_LIBRARIES`` libraries; best effort."""
+    built = []
+    for lib in current.parent.glob("_lzw-*.so"):
+        try:
+            built.append((lib.stat().st_mtime, lib))
+        except OSError:  # removed meanwhile by another interpreter
+            pass
+    built.sort(reverse=True)
+    for _, old in built[KEEP_LIBRARIES:]:
         if old != current:
             try:
                 old.unlink()

@@ -102,7 +102,7 @@ def _unpacked_planes(patch, stage):
     """(8 * channels) x (h * w) array of {0, 1} bits, channel-major, bit 7 first."""
     if stage not in ("raw", "projected"):
         raise ValueError(f"stage must be 'raw' or 'projected', got {stage!r}")
-    arr = np.ascontiguousarray(patch)
+    arr = np.asarray(patch)
     if stage == "projected":
         arr = project(arr)
     h, w, c = arr.shape

@@ -62,6 +62,12 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class CropResult:
+    """The live part of an image and the all-zero lines cut from it.
+
+    ``cropped`` may be a view of the input image (when the live rows form
+    one block and no column is empty), so writing to it writes to the input.
+    """
+
     cropped: np.ndarray
     removed_rows: tuple
     removed_cols: tuple
@@ -85,12 +91,24 @@ def _check_image(image, channels=(1, 3, 4)):
 
 
 def crop_empty(image) -> CropResult:
-    """Drop rows and columns that are entirely zero across all channels."""
+    """Drop rows and columns that are entirely zero across all channels.
+
+    Rows are sliced when the live ones form one block and columns are
+    gathered only when one is empty, so ``cropped`` is a view of ``image``
+    when nothing needs gathering, and a copy otherwise.
+    """
     image = _check_image(image)
     h, w, _ = image.shape
-    row_live = image.any(axis=(1, 2))
-    col_live = image.any(axis=(0, 2))
-    cropped = image[row_live][:, col_live]
+    # max(...) != 0 gives the same masks as any(...) several times faster.
+    row_live = image.reshape(h, -1).max(axis=1) != 0
+    col_live = image.max(axis=0).max(axis=1) != 0
+    rows = np.flatnonzero(row_live)
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        cropped = image[rows[0] : rows[-1] + 1]
+    else:
+        cropped = image[row_live]
+    if not col_live.all():
+        cropped = cropped.take(np.flatnonzero(col_live), axis=1)
     return CropResult(
         cropped=cropped,
         removed_rows=tuple(np.flatnonzero(~row_live).tolist()),
@@ -149,7 +167,7 @@ def _stage_chain(tile, config):
     mask = STAGE_LZW
     arr = tile
     if config.enable_projection:
-        arr = project(np.ascontiguousarray(arr))
+        arr = project(arr)
         mask |= STAGE_PROJECTION
     if config.enable_bitplane:
         stream = to_bitplanes(arr)

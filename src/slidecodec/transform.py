@@ -9,13 +9,15 @@ first-order difference computed modulo 256:
 
 Each pass reads the full output of the previous pass; the first row, first
 column, and first channel pass through undifferenced. The resulting modular
-residuals are reinterpreted as signed values in [-128, 127] and zigzag-mapped
+residuals are reinterpreted as signed values s in [-128, 127] and zigzag-mapped
 so that small magnitudes become small unsigned bytes (0, -1, 1, -2, ... map to
 0, 1, 2, 3, ...), which keeps the high bit positions of near-zero residuals
-empty for the bit-plane stage.
+empty for the bit-plane stage. The mapping is protobuf's ZigZag encoding done
+in 8-bit arithmetic: (s << 1) ^ (s >> 7) on the int8 view, with an arithmetic
+right shift, and (u >> 1) ^ (0 - (u & 1)) modulo 256 for the inverse.
 
 Inversion undoes the passes in reverse order, each via a modular cumulative
-sum, and is exact for every input.
+sum, and is exact for every input. Both directions accept strided views.
 """
 
 import numpy as np
@@ -39,20 +41,6 @@ def unzigzag(u: int) -> int:
     return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
-def _build_luts():
-    signed = np.arange(256, dtype=np.int16)
-    signed[128:] -= 256
-    zz = np.where(signed >= 0, 2 * signed, -2 * signed - 1).astype(np.uint8)
-    inv = np.zeros(256, dtype=np.uint8)
-    inv[zz] = np.arange(256, dtype=np.uint8)
-    return zz, inv
-
-
-# _ZIGZAG[residual byte] -> zigzag byte; _UNZIGZAG is the inverse permutation
-# (zigzag of the signed reinterpretation equals a fixed byte permutation).
-_ZIGZAG, _UNZIGZAG = _build_luts()
-
-
 def _check_patch(patch: np.ndarray, channels: tuple[int, ...]) -> np.ndarray:
     patch = np.asarray(patch)
     if patch.dtype != np.uint8:
@@ -73,22 +61,25 @@ def project(patch: np.ndarray) -> np.ndarray:
     input. Output has the same shape as the input.
     """
     x = _check_patch(patch, (1, 3))
-    d = x.copy()
-    d[1:, :, :] -= x[:-1, :, :]
-    e = d.copy()
-    e[:, 1:, :] -= d[:, :-1, :]
-    y = e.copy()
+    d = np.empty(x.shape, dtype=np.uint8)
+    d[:1] = x[:1]
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    e = np.empty_like(d)
+    e[:, :1] = d[:, :1]
+    np.subtract(d[:, 1:], d[:, :-1], out=e[:, 1:])
     if x.shape[2] == 3:
-        y[:, :, 1:] -= e[:, :, :1]
-    return _ZIGZAG[y]
+        e[..., 1] -= e[..., 0]
+        e[..., 2] -= e[..., 0]
+    s = e.view(np.int8)
+    return ((s << 1) ^ (s >> 7)).view(np.uint8)
 
 
 def unproject(residuals: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`project`."""
     r = _check_patch(residuals, (1, 3))
-    y = _UNZIGZAG[r]
+    y = (r >> 1) ^ (0 - (r & 1))
     if r.shape[2] == 3:
-        y[:, :, 1:] += y[:, :, :1]
+        y[..., 1] += y[..., 0]
+        y[..., 2] += y[..., 0]
     y = np.cumsum(y, axis=1, dtype=np.uint8)
-    y = np.cumsum(y, axis=0, dtype=np.uint8)
-    return y
+    return np.cumsum(y, axis=0, dtype=np.uint8, out=y)

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -249,7 +250,11 @@ def test_pure_backend_env_override():
 def test_fresh_build_removes_stale_libraries(tmp_path):
     cache = tmp_path / "slidecodec"
     cache.mkdir()
-    (cache / "_lzw-deadbeef.so").write_bytes(b"left by an older kernel source")
+    # more stale builds than the cache keeps, the first one the oldest
+    stale = [cache / f"_lzw-dead{i:04x}.so" for i in range(_lzw_native.KEEP_LIBRARIES + 2)]
+    for age, lib in enumerate(reversed(stale), start=1):
+        lib.write_bytes(b"left by an older kernel source")
+        os.utime(lib, (lib.stat().st_atime, time.time() - 3600 * age))
     (cache / "unrelated.txt").write_text("kept")
     src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
@@ -258,10 +263,13 @@ def test_fresh_build_removes_stale_libraries(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == lzw_encode(b"ABABAB", 12).hex()
-    left = sorted(p.name for p in cache.iterdir())
-    assert len(left) == 2 and "unrelated.txt" in left, left
-    assert left[0].startswith("_lzw-") and left[0].endswith(".so")
-    assert left[0] != "_lzw-deadbeef.so"
+    fresh = {p.name for p in cache.glob("_lzw-*.so")} - {p.name for p in stale}
+    assert len(fresh) == 1, fresh
+    assert (cache / "unrelated.txt").read_text() == "kept"
+    # the fresh build plus the newest stale ones fill the cache
+    gone = len(stale) - (_lzw_native.KEEP_LIBRARIES - 1)
+    assert not any(lib.exists() for lib in stale[:gone])
+    assert all(lib.exists() for lib in stale[gone:])
 
 
 def test_backend_bench_runs():

@@ -109,6 +109,74 @@ def test_crop_matches_scalar_rule():
     assert res.removed_cols == expect_cols
 
 
+def reference_crop(img):
+    """crop_empty's rule written with any(): (cropped, removed rows, removed cols)."""
+    rows = img.any(axis=(1, 2))
+    cols = img.any(axis=(0, 2))
+    removed = (tuple(np.flatnonzero(~rows).tolist()), tuple(np.flatnonzero(~cols).tolist()))
+    return (img[rows][:, cols], *removed)
+
+
+def crop_cases(rng, c):
+    """(name, image) pairs covering each row layout crop_empty treats apart."""
+    block = np.zeros((14, 11, c), dtype=np.uint8)
+    block[3:9, 2:10] = rng.integers(0, 256, (6, 8, c), dtype=np.uint8)
+    block[3:9, 2:10, 0] |= 1  # every row and column in the block is live
+    block[:, 5] = 0
+    split = block.copy()
+    split[6] = 0
+    split[12, 0, c - 1] = 9
+    dense = rng.integers(1, 256, (7, 5, c), dtype=np.uint8)
+    return [
+        ("one block", block),
+        ("split rows", split),
+        ("no live pixel", np.zeros((5, 6, c), dtype=np.uint8)),
+        ("every pixel live", dense),
+        ("1x1 live", np.full((1, 1, c), 3, dtype=np.uint8)),
+        ("1x1 empty", np.zeros((1, 1, c), dtype=np.uint8)),
+        ("sparse", sparse_image(rng, 23, 19, c)),
+    ]
+
+
+@pytest.mark.parametrize("c", [1, 3, 4])
+def test_crop_matches_any_reference(c):
+    rng = np.random.default_rng(59 + c)
+    for name, img in crop_cases(rng, c):
+        for layout, view in [("contiguous", img), ("reversed", img[::-1, ::-1]),
+                             ("strided", np.repeat(img, 2, axis=1)[::2, ::2])]:
+            res = crop_empty(view)
+            cropped, rows, cols = reference_crop(view)
+            assert res.removed_rows == rows, (name, layout)
+            assert res.removed_cols == cols, (name, layout)
+            assert res.cropped.shape == cropped.shape, (name, layout)
+            assert (res.cropped == cropped).all(), (name, layout)
+            assert (res.original_height, res.original_width) == view.shape[:2]
+            assert (uncrop(res) == view).all(), (name, layout)
+
+
+def test_crop_views_input_only_when_nothing_is_gathered():
+    rng = np.random.default_rng(63)
+    cases = dict(crop_cases(rng, 3))
+    assert np.shares_memory(crop_empty(cases["every pixel live"]).cropped,
+                            cases["every pixel live"])
+    margins = np.zeros((9, 6, 3), dtype=np.uint8)
+    margins[2:5] = 1
+    assert np.shares_memory(crop_empty(margins).cropped, margins)
+    for name in ("one block", "split rows"):
+        assert not np.shares_memory(crop_empty(cases[name]).cropped, cases[name])
+
+
+@pytest.mark.parametrize("config", ALL_TOGGLES)
+def test_compress_of_view_equals_compress_of_copy(config):
+    rng = np.random.default_rng(64)
+    base = sparse_image(rng, 75, 91, 3)
+    base[10:60, 20:70] = rng.integers(0, 256, (50, 50, 3), dtype=np.uint8)
+    for view in (base[::-1], base[:, ::-1], base[1::2, ::3], base[3:70, 5:88]):
+        copy = np.ascontiguousarray(view)
+        for threads in (1, 2):
+            assert compress(view, config, threads) == compress(copy, config, threads)
+
+
 def test_strip_alpha():
     rng = np.random.default_rng(53)
     rgba = rng.integers(0, 256, (4, 4, 4), dtype=np.uint8)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slidecodec.errors import CodecError
 from slidecodec.transform import project, unproject, unzigzag, zigzag
@@ -22,14 +25,48 @@ def test_golden_row_vector_inverse():
 
 
 def test_zigzag_bijection_over_all_bytes():
-    # single-pixel patches reduce the transform to the zigzag map alone
-    seen = set()
-    for v in range(256):
-        p = np.full((1, 1, 1), v, dtype=np.uint8)
-        z = project(p)
-        assert unproject(z)[0, 0, 0] == v
-        seen.add(int(z[0, 0, 0]))
-    assert seen == set(range(256))
+    # single-pixel patches reduce the transform to the zigzag map alone; it
+    # must equal the scalar map, byte v holding residual v - 256 for v >= 128
+    expect = {s % 256: zigzag(s) for s in range(-128, 128)}
+    for c in (1, 3):
+        for v in range(256):
+            p = np.full((1, 1, c), v, dtype=np.uint8)
+            z = project(p)
+            assert z[0, 0, 0] == expect[v]
+            assert (unproject(z) == p).all()
+    assert sorted(expect.values()) == list(range(256))
+
+
+def strided_views(rng, h, w, c):
+    """(name, view) pairs of shape (h, w, c) over fresh random bytes."""
+    base = rng.integers(0, 256, (2 * h + 1, 3 * w + 2, c), dtype=np.uint8)
+    return [
+        ("strided", base[1::2, 2::3]),
+        ("reversed", base[::-1, ::-1][:h, :w]),
+        ("sliced", base[1 : h + 1, 2 : w + 2]),
+        ("column-major", base[:h, :w].transpose(1, 0, 2).copy().transpose(1, 0, 2)),
+    ]
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_non_contiguous_views_match_contiguous_copies(c):
+    rng = np.random.default_rng(15 + c)
+    for h, w in [(1, 1), (1, 7), (6, 1), (9, 5), (16, 12)]:
+        for name, view in strided_views(rng, h, w, c):
+            assert view.shape == (h, w, c), name
+            copy = np.ascontiguousarray(view)
+            expect = np.array(oracle_project(copy), dtype=np.uint8)
+            assert (project(view) == expect).all(), name
+            assert (project(view) == project(copy)).all(), name
+            assert (unproject(view) == unproject(copy)).all(), name
+            assert (project(unproject(view)) == copy).all(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24),
+                                  st.sampled_from([1, 3]))))
+def test_round_trip_property(p):
+    assert (unproject(project(p)) == p).all()
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 9, 1), (7, 1, 1), (5, 4, 3),
