@@ -105,7 +105,8 @@ def cmd_compress(args) -> int:
     mbps = original / elapsed / 1e6 if elapsed > 0 else math.inf
     print(
         f"{original} bytes -> {len(blob)} bytes  ratio {ratio:.3f}  "
-        f"{elapsed:.3f}s  {mbps:.1f} MB/s"
+        f"{elapsed:.3f}s  {mbps:.1f} MB/s",
+        file=sys.stderr,
     )
     return 0
 

@@ -118,8 +118,41 @@ def crop_empty(image) -> CropResult:
     )
 
 
+def _kept_lines(removed, n):
+    """Indices of the ``n`` original lines left after dropping ``removed``."""
+    live = np.ones(n, dtype=bool)
+    live[np.asarray(removed, dtype=np.intp)] = False
+    return np.flatnonzero(live)
+
+
+def _run_or_lines(lines):
+    """A slice over ``lines`` when they are consecutive, else ``lines`` itself."""
+    if lines[-1] - lines[0] == len(lines) - 1:
+        return slice(lines[0], lines[-1] + 1)
+    return lines
+
+
+def _place(out, tile, row, col, kept_rows, kept_cols):
+    """Write ``tile``, at cropped ``(row, col)``, to its place in the full image.
+
+    An axis whose kept lines under the tile form one run (the usual case:
+    margins only) is written through a slice; a split axis takes an index
+    array, and a tile split on both axes goes through ``np.ix_``.
+    """
+    h, w = tile.shape[:2]
+    rows = _run_or_lines(kept_rows[row : row + h])
+    cols = _run_or_lines(kept_cols[col : col + w])
+    if not isinstance(rows, slice) and not isinstance(cols, slice):
+        rows, cols = np.ix_(rows, cols)
+    out[rows, cols] = tile
+
+
 def uncrop(result: CropResult) -> np.ndarray:
-    """Re-insert zero rows/columns at the recorded indices."""
+    """Re-insert zero rows/columns at the recorded indices.
+
+    :func:`decompress` does not call this: it writes each tile straight to
+    its place in the full image through the same placement rule.
+    """
     cropped = result.cropped
     if not isinstance(cropped, np.ndarray) or cropped.ndim != 3:
         raise StructuralError("cropped image must be height x width x channels")
@@ -131,22 +164,16 @@ def uncrop(result: CropResult) -> np.ndarray:
             f"{len(result.removed_rows)}/{len(result.removed_cols)} removed "
             f"does not give {h}x{w}"
         )
-    out = np.zeros((h, w, nchan), dtype=np.uint8)
-    kept_rows = np.setdiff1d(np.arange(h), np.asarray(result.removed_rows, dtype=np.intp))
-    kept_cols = np.setdiff1d(np.arange(w), np.asarray(result.removed_cols, dtype=np.intp))
+    for removed, n in ((result.removed_rows, h), (result.removed_cols, w)):
+        if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in removed):
+            raise StructuralError(f"removed indices must be integers in [0, {n})")
+    kept_rows = _kept_lines(result.removed_rows, h)
+    kept_cols = _kept_lines(result.removed_cols, w)
     if len(kept_rows) != ch or len(kept_cols) != cw:
-        raise StructuralError("removed indices out of range or duplicated")
+        raise StructuralError("removed indices duplicated")
+    out = np.zeros((h, w, nchan), dtype=np.uint8)
     if ch and cw:
-        # Scattering columns, then rows, is about twice as fast as one
-        # np.ix_ scatter. When the kept rows form one block (the usual slide
-        # margins) the column scatter writes straight into out, so no
-        # (ch, w, c) buffer is allocated.
-        r0 = kept_rows[0]
-        block = kept_rows[-1] - r0 == ch - 1
-        rows = out[r0 : r0 + ch] if block else np.zeros((ch, w, nchan), dtype=np.uint8)
-        rows[:, kept_cols] = cropped
-        if not block:
-            out[kept_rows] = rows
+        _place(out, cropped, 0, 0, kept_rows, kept_cols)
     return out
 
 
@@ -254,22 +281,22 @@ def compress(image, config=None, threads=1) -> bytes:
 def decompress(data, threads=1) -> np.ndarray:
     """Rebuild the exact image from container bytes (or a parsed Container).
 
-    Each tile is decoded straight into its slot; every Container is validated
-    when it is built, which proves the slots disjoint.
+    The full image is allocated once, zeroed, and each tile is decoded
+    straight to its place in it, skipping the removed rows and columns; no
+    cropped image is built. Every Container is validated when it is built,
+    which proves the crop lists increasing and in range and the tiles
+    disjoint, so pool workers never write the same pixel.
     """
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header
-    ch = hdr.original_height - len(cont.removed_rows)
-    cw = hdr.original_width - len(cont.removed_cols)
-    cropped = np.zeros((ch, cw, hdr.channels), dtype=np.uint8)
+    out = np.zeros((hdr.original_height, hdr.original_width, hdr.channels), dtype=np.uint8)
+    kept_rows = _kept_lines(cont.removed_rows, hdr.original_height)
+    kept_cols = _kept_lines(cont.removed_cols, hdr.original_width)
 
     def place(job):
         rec, payload = job
         tile = _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width)
-        cropped[rec.row : rec.row + rec.height, rec.col : rec.col + rec.width] = tile
+        _place(out, tile, rec.row, rec.col, kept_rows, kept_cols)
 
     _run(list(zip(cont.records, cont.payloads)), place, threads)
-    return uncrop(
-        CropResult(cropped, cont.removed_rows, cont.removed_cols,
-                   hdr.original_height, hdr.original_width)
-    )
+    return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slidecodec import _lzw_py
-from slidecodec.errors import CodecError, CorruptStreamError, TruncatedStreamError
+from slidecodec.errors import CorruptStreamError, TruncatedStreamError
 from slidecodec.lzw import (
     BACKEND,
     CLEAR,
@@ -20,6 +20,7 @@ from slidecodec.lzw import (
 )
 
 from deadline import deadline
+from lzw_cases import assert_identical, damaged_cases, reset_cases, short_cases
 from oracles import oracle_lzw_codes, oracle_pack
 
 try:  # imported directly, so it is built even when SLIDECODEC_PURE is set
@@ -155,14 +156,6 @@ def test_round_trip_large_random():
     assert lzw_decode(lzw_encode(data), size=len(data)) == data
 
 
-def _outcome(decode, *args):
-    """The decoded bytes, or the (class, message) of the error raised."""
-    try:
-        return decode(*args)
-    except CodecError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.fixture(params=["python", "native"])
 def kernel(request):
     if request.param == "python":
@@ -211,29 +204,51 @@ def test_unreachable_size_rejected_before_decoding():
 def test_backends_byte_identical():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     rng = np.random.default_rng(36)
-    for _ in range(120):
-        n = int(rng.integers(0, 4000))
-        alphabet = int(rng.choice([2, 8, 256]))
-        data = bytes(rng.integers(0, alphabet, n, dtype=np.uint8))
-        width = int(rng.choice([9, 10, 12, 16]))
-        packed = _lzw_native.encode(data, width)
-        assert packed == _lzw_py.encode(data, width)
-        assert _lzw_native.encode_trace(data, width) == _lzw_py.encode_trace(data, width)
-        assert _lzw_native.decode(packed, width, n) == data
-        assert _lzw_py.decode(packed, width, n) == data
-
     # damaged streams and wrong sizes fail alike: same class, same message
-    for _ in range(200):
-        data = bytes(rng.integers(0, int(rng.choice([2, 8, 256])),
-                                  int(rng.integers(0, 600)), dtype=np.uint8))
-        width = int(rng.choice([9, 12, 16]))
-        stream = bytearray(_lzw_py.encode(data, width))
-        for _ in range(int(rng.integers(0, 4))):
-            stream[int(rng.integers(len(stream)))] = int(rng.integers(256))
-        stream = bytes(stream[:int(rng.integers(1, len(stream) + 1))])
-        size = len(data) if rng.random() < 0.5 else int(rng.integers(0, 2 * len(data) + 8))
-        assert _outcome(_lzw_native.decode, stream, width, size) == \
-            _outcome(_lzw_py.decode, stream, width, size)
+    assert_identical(_lzw_native, _lzw_py, short_cases(rng), damaged_cases(rng))
+
+
+def test_backends_byte_identical_across_resets():
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    cases = reset_cases()
+    assert_identical(_lzw_native, _lzw_py, cases)
+    codes = [(w, _lzw_native.encode_trace(data, w)[1]) for data, w in cases]
+    assert {12, 16} <= {w for w, c in codes if CLEAR in c}
+    assert max(max(c) for w, c in codes if w == 20) > 1 << 16
+
+
+def test_kernel_compiles_without_warnings():
+    cc = (os.environ.get("CC") or "cc").split()
+    out = subprocess.run(
+        [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         os.path.join(os.path.dirname(_lzw_py.__file__), "_lzw.c")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_backends_byte_identical_under_ubsan(tmp_path):
+    # a private cache, so the sanitized build neither reuses nor evicts the
+    # regular one; -fno-sanitize-recover turns any undefined behaviour into
+    # an abort, so a clean exit means none was hit
+    cc = os.environ.get("CC") or "cc"
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               CC=f"{cc} -fsanitize=undefined -fno-sanitize-recover=all",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    env.pop("SLIDECODEC_PURE", None)
+    script = (
+        "import numpy as np\n"
+        "from slidecodec import _lzw_native, _lzw_py\n"
+        "from lzw_cases import assert_identical, damaged_cases, reset_cases, short_cases\n"
+        "rng = np.random.default_rng(36)\n"
+        "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases(), damaged_cases(rng))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert len(list((tmp_path / "slidecodec").glob("_lzw-*.so"))) == 1
 
 
 def test_pure_backend_env_override():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from slidecodec.container import (
     write_container,
 )
 from slidecodec.errors import CodecError, StructuralError, UnsupportedLayoutError
+from slidecodec.lzw import lzw_encode
 from slidecodec.pipeline import (
     CompressionConfig,
     CropResult,
@@ -22,6 +24,7 @@ from slidecodec.pipeline import (
     crop_empty,
     decompress,
     strip_alpha,
+    _decode_tile,
     uncrop,
 )
 
@@ -314,3 +317,152 @@ def test_runaway_tile_stops_at_record_size(width, side):
     # the input copy, the output image and, on the pure kernel, the decoded
     # bytes and its phrase table; none is sized by what the payload decodes to
     assert peak < 2 * len(blob) + 5 * raw_len, peak
+
+
+def with_gaps(dense, row_gaps, col_gaps):
+    """``dense`` with all-zero lines inserted before the given cropped indices.
+
+    A gap index of 0 or the cropped length is a margin; repeats give runs.
+    """
+    for axis, gaps in ((0, row_gaps), (1, col_gaps)):
+        dense = np.insert(dense, sorted(gaps), 0, axis=axis)
+    return dense
+
+
+def placement_cases(rng, c, patch):
+    """(name, image) pairs whose removed lines fall inside tiles and on tile edges."""
+    ch, cw = (int(v) for v in rng.integers(2, 17 if patch == 1 else 41, 2))
+    dense = rng.integers(1, 256, (ch, cw, c), dtype=np.uint8)  # no zero line
+
+    def margins(n):
+        return [0] * int(rng.integers(0, 4)) + [n] * int(rng.integers(0, 4))
+
+    def interior(n):
+        edges = list(range(patch, n, patch))  # between two tiles
+        inside = [int(i) for i in rng.integers(1, n, 3)]  # n >= 2
+        return margins(n) + [e for e in edges if rng.random() < 0.5] + inside
+
+    rows_split = with_gaps(dense, interior(ch), margins(cw))
+    cols_split = with_gaps(dense, margins(ch), interior(cw))
+    both_split = with_gaps(dense, interior(ch), interior(cw))
+    lone = np.zeros((int(rng.integers(1, 9)), int(rng.integers(1, 9)), c), dtype=np.uint8)
+    lone[int(rng.integers(lone.shape[0])), int(rng.integers(lone.shape[1]))] = 7
+    return [
+        ("rows split", rows_split),
+        ("columns split", cols_split),
+        ("both split", both_split),
+        ("margins only", with_gaps(dense, margins(ch), margins(cw))),
+        ("nothing removed", dense),
+        ("everything removed", np.zeros((ch, cw, c), dtype=np.uint8)),
+        ("1x1 live", lone),
+    ]
+
+
+def decompress_via_uncrop(blob):
+    """Decode into a cropped buffer, then call uncrop: the decoder's old path."""
+    cont = read_container(blob)
+    hdr = cont.header
+    ch = hdr.original_height - len(cont.removed_rows)
+    cw = hdr.original_width - len(cont.removed_cols)
+    cropped = np.zeros((ch, cw, hdr.channels), dtype=np.uint8)
+    for rec, payload in zip(cont.records, cont.payloads):
+        cropped[rec.row : rec.row + rec.height, rec.col : rec.col + rec.width] = \
+            _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width)
+    return uncrop(CropResult(cropped, cont.removed_rows, cont.removed_cols,
+                             hdr.original_height, hdr.original_width))
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("patch", [1, 3, 8, 64])
+def test_tiles_land_in_place_around_removed_lines(c, patch):
+    rng = np.random.default_rng(70 + 5 * c + patch)
+    for _ in range(3):
+        for name, img in placement_cases(rng, c, patch):
+            blob = compress(img, CompressionConfig(patch_size=patch))
+            reference = decompress_via_uncrop(blob)
+            assert (reference == img).all(), name
+            for threads in (1, 2):
+                out = decompress(blob, threads=threads)
+                assert out.shape == img.shape, (name, threads)
+                assert (out == img).all(), (name, threads)
+
+
+def test_placement_cases_remove_what_they_name():
+    rng = np.random.default_rng(69)
+    cases = dict(placement_cases(rng, 3, 8))
+    for name, split_rows, split_cols in [("rows split", True, False),
+                                         ("columns split", False, True),
+                                         ("both split", True, True)]:
+        res = crop_empty(cases[name])
+        for removed, n, split in ((res.removed_rows, cases[name].shape[0], split_rows),
+                                  (res.removed_cols, cases[name].shape[1], split_cols)):
+            kept = np.setdiff1d(np.arange(n), removed)
+            assert (np.ptp(kept) + 1 != len(kept)) == split, (name, removed)
+    assert crop_empty(cases["nothing removed"]).removed_rows == ()
+    assert crop_empty(cases["everything removed"]).cropped.size == 0
+    assert crop_empty(cases["1x1 live"]).cropped.shape[:2] == (1, 1)
+
+
+def test_tile_cut_by_a_removed_row_and_a_removed_column():
+    # a 5x6 image at patch 4 with row 2 and column 3 removed: the cropped
+    # image is 4x5, its first tile covers original rows 0, 1, 3, 4 and
+    # columns 0, 1, 2, 4, and its second tile original column 5
+    rng = np.random.default_rng(71)
+    img = rng.integers(1, 256, (5, 6, 3), dtype=np.uint8)
+    img[2] = 0
+    img[:, 3] = 0
+    rows, cols = [0, 1, 3, 4], [0, 1, 2, 4, 5]
+    records, payloads = [], []
+    for col, width in ((0, 4), (4, 1)):
+        tile = img[np.ix_(rows, cols[col : col + width])]
+        payloads.append(lzw_encode(tile.tobytes()))
+        records.append(PatchRecord(0, col, 4, width, tile.size, len(payloads[-1]), STAGE_LZW))
+    cont = Container(ContainerHeader(6, 5, 3, 4), (2,), (3,), tuple(records), tuple(payloads))
+    for threads in (1, 2):
+        assert (decompress(cont, threads=threads) == img).all()
+    assert (decompress_via_uncrop(write_container(cont.header, (2,), (3,), records,
+                                                  payloads)) == img).all()
+
+
+def test_placement_under_thread_contention():
+    # more workers than cores and a short switch interval, so workers are
+    # interrupted inside their writes to the shared image; split tiles and
+    # slice tiles alike must land whole
+    rng = np.random.default_rng(73)
+    dense = rng.integers(1, 256, (60, 50, 3), dtype=np.uint8)
+    img = with_gaps(dense, [0, 7, 9, 9, 30, 60], [0, 5, 24, 50, 50])
+    blob = compress(img, CompressionConfig(patch_size=4))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(30.0):
+            for _ in range(3):
+                assert (decompress(blob, threads=8) == img).all()
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_decompress_allocates_one_full_image():
+    # a 512x512x3 slide with blank margins at patch 64: besides the image,
+    # a call holds one tile's decode buffers at a time, plus bookkeeping;
+    # the old path also held a cropped copy of the live area and peaked at
+    # 3.1x the image
+    rng = np.random.default_rng(72)
+    img = np.zeros((512, 512, 3), dtype=np.uint8)
+    img[80:380, 60:460] = rng.integers(0, 4, (300, 400, 3), dtype=np.uint8) + 1
+    blob = compress(img, CompressionConfig(patch_size=64))
+    cont = read_container(blob)
+    tracemalloc.start()
+    try:
+        tile_peak = 0
+        for rec, payload in zip(cont.records, cont.payloads):
+            tracemalloc.reset_peak()
+            _decode_tile(rec, payload, cont.header.channels, cont.header.lzw_max_width)
+            tile_peak = max(tile_peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        out = decompress(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out == img).all()
+    assert peak < img.nbytes + 3 * tile_peak, (peak, tile_peak)
