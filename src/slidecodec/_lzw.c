@@ -10,7 +10,15 @@
    stops as soon as the stream disagrees with it, so its output is never
    grown. The caller copies the output out and releases it with lzw_free.
    Every entry point returns one of the LZW_* status codes and fills an
-   lzw_result. */
+   lzw_result.
+
+   The encoder keeps its dictionary in two structures. Runs of one byte,
+   the bulk of bit-plane streams, live on a run ladder per byte value: the
+   codes of the phrases b, bb, bbb, ... up to the longest in the dictionary.
+   A run is measured a word at a time and climbs its ladder one step per
+   emitted code, never through the hash table; every other phrase goes
+   through an open-addressing hash table. Only the dictionary's structure
+   differs from _lzw_py.py, not its contents, so the codes are the same. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -49,8 +57,9 @@ typedef struct {
     size_t ncodes;
 } writer;
 
-/* Append one code MSB-first; -1 when the buffer cannot grow. */
-static int put(writer *w, int width, int32_t code)
+/* Append one code MSB-first; -1 when the buffer cannot grow. Inline: on
+   raw, miss-heavy input the encoder calls it about once per two bytes. */
+static inline int put(writer *w, int width, int32_t code)
 {
     if (w->len + 8 > w->cap) {
         size_t cap = 2 * w->cap;
@@ -124,49 +133,136 @@ static int table_grow(table *t)
     return 0;
 }
 
+/* Pure-run phrases of one byte value b: codes[k] is the code of b^k, the
+   phrase of k b's, for 2 <= k <= top, and b^top is the longest such phrase
+   in the dictionary (b^1 is the literal b, so top is 1 until the first run
+   entry). The dictionary is prefix-closed, so these are exactly its pure-run
+   entries, and a new one is always b^(top + 1). codes is allocated on the
+   first entry and doubles as it fills; a CLEAR keeps it and resets top. */
+typedef struct {
+    int32_t *codes;
+    size_t top, cap;
+} ladder;
+
+/* Append b^(top + 1) = code; -1 when the array cannot grow. */
+static int ladder_push(ladder *l, int32_t code)
+{
+    if (l->top + 1 >= l->cap) {
+        const size_t cap = l->cap ? 2 * l->cap : 16;
+        int32_t *grown = realloc(l->codes, cap * sizeof *grown);
+        if (!grown)
+            return -1;
+        l->codes = grown;
+        l->cap = cap;
+    }
+    l->codes[++l->top] = code;
+    return 0;
+}
+
+/* How many of p[0:n] equal b before the first that does not, compared a
+   machine word at a time. */
+static size_t run_length(const uint8_t *p, size_t n, uint8_t b)
+{
+    const uint64_t pattern = UINT64_C(0x0101010101010101) * b;
+    size_t r = 0;
+    for (uint64_t word; r + 8 <= n; r += 8) {
+        memcpy(&word, p + r, 8);
+        if (word != pattern)
+            break;
+    }
+    while (r < n && p[r] == b)
+        r++;
+    return r;
+}
+
 /* Encode src[0:n]. codes may be NULL; otherwise it must hold
-   lzw_max_codes(n, max_width) entries. On LZW_OK *out holds res->len bytes. */
+   lzw_max_codes(n, max_width) entries. On LZW_OK *out holds res->len bytes.
+
+   The dictionary lives in two structures that together hold each entry
+   once. A pure run b^(k+1), which extends the phrase b^k by another b,
+   goes on b's ladder and never into the hash table; every other entry,
+   (prefix_code << 8 | byte) -> code, goes into the hash table. Which one a
+   transition uses follows from the pending phrase: a pure run longer than
+   one byte is only ever entered from the ladder, and only where its run
+   ends, so the one pending phrase that can be extended by its run byte is
+   a literal b followed by b, that is, a byte equal to the pending code.
+   The hash loop is a tight inner loop that leaves only on a miss or on
+   that compare, so it pays nothing else for the ladder.
+
+   From a pending literal b with more b's ahead, the run is measured up to
+   top bytes, a word at a time. If it is shorter than that, the pending
+   phrase jumps straight to the ladder entry for the run's length, at most
+   b^top; otherwise the encoder consumes b^top, emits its code and adds
+   b^(top+1), or emits CLEAR when the dictionary is full. Either way a run
+   costs one step per code emitted, not a probe per byte, and the codes are
+   the ones the byte-at-a-time greedy parse of _lzw_py.py emits. A CLEAR
+   empties the hash table and sets every ladder's top back to 1. */
 int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
                uint8_t **out, lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     table t;
+    ladder runs[256] = {{0}};
     writer w = {0};
     w.cap = n + n / 8 + 64;
     w.buf = malloc(w.cap);
     w.codes = codes;
+    for (int b = 0; b < 256; b++)
+        runs[b].top = 1;
 
     int status = LZW_NOMEM;
     if (table_init(&t, 8) || !w.buf)
         goto done;
 
     int width = MIN_WIDTH;
-    int32_t next_code = FIRST_CODE, peak = FIRST_CODE, prev = -1;
-    for (size_t i = 0; i < n; i++) {
-        const int32_t b = src[i];
-        if (prev < 0) {
-            prev = b;
-            continue;
-        }
-        const uint32_t key = ((uint32_t)prev << 8) | (uint32_t)b;
-        size_t h = table_find(&t, key);
-        if (t.keys[h]) {
+    int32_t next_code = FIRST_CODE, peak = FIRST_CODE;
+    int32_t prev = n ? src[0] : -1;
+    size_t i = 1;
+    while (i < n) {
+        int32_t b = src[i];
+        uint32_t key = 0;
+        size_t h = 0;
+        /* hash transitions, until a miss or a literal followed by itself */
+        while (b != prev) {
+            key = ((uint32_t)prev << 8) | (uint32_t)b;
+            h = table_find(&t, key);
+            if (!t.keys[h])
+                break;
             prev = t.vals[h];
-            continue;
+            if (++i == n)
+                goto flush;
+            b = src[i];
         }
-        if (put(&w, width, prev))
-            goto done;
-        if (next_code < capacity) {
-            if (2 * (t.used + 1) > (size_t)1 << t.bits) {
-                if (table_grow(&t))
-                    goto done;
-                h = table_find(&t, key);
+        if (b == prev) {
+            /* a literal b, then more b's: climb b's ladder */
+            ladder *l = &runs[b];
+            const size_t r = run_length(src + i, n - i < l->top ? n - i : l->top, (uint8_t)b);
+            if (r < l->top) {
+                prev = l->codes[1 + r];
+                i += r;
+                continue;
             }
-            t.keys[h] = key + 1;
-            t.vals[h] = next_code++;
-            t.used++;
-            if (next_code > peak)
-                peak = next_code;
+            i += l->top - 1; /* the pending phrase is b^top; src[i] is b */
+            if (put(&w, width, l->top > 1 ? l->codes[l->top] : b))
+                goto done;
+            if (next_code < capacity && ladder_push(l, next_code))
+                goto done;
+        } else {
+            if (put(&w, width, prev))
+                goto done;
+            if (next_code < capacity) {
+                if (2 * (t.used + 1) > (size_t)1 << t.bits) {
+                    if (table_grow(&t))
+                        goto done;
+                    h = table_find(&t, key);
+                }
+                t.keys[h] = key + 1;
+                t.vals[h] = next_code;
+                t.used++;
+            }
+        }
+        if (next_code < capacity) {
+            next_code++;
             if (next_code - 1 >= (1 << width))
                 width++;
         } else {
@@ -174,11 +270,16 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
                 goto done;
             memset(t.keys, 0, ((size_t)1 << t.bits) * sizeof *t.keys);
             t.used = 0;
+            for (int c = 0; c < 256; c++)
+                runs[c].top = 1;
+            peak = capacity;
             next_code = FIRST_CODE;
             width = MIN_WIDTH;
         }
         prev = b;
+        i++;
     }
+flush:
     if (prev >= 0) {
         if (put(&w, width, prev))
             goto done;
@@ -186,8 +287,6 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
            is written one bit narrower than the decoder reads it */
         if (FIRST_CODE < next_code && next_code < capacity) {
             next_code++;
-            if (next_code > peak)
-                peak = next_code;
             if (next_code - 1 >= (1 << width))
                 width++;
         }
@@ -198,12 +297,14 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
         w.buf[w.len++] = (uint8_t)(w.acc << (8 - w.nbits));
     res->len = w.len;
     res->ncodes = w.ncodes;
-    res->peak = peak;
+    res->peak = next_code > peak ? next_code : peak;
     status = LZW_OK;
 
 done:
     free(t.keys);
     free(t.vals);
+    for (int b = 0; b < 256; b++)
+        free(runs[b].codes);
     if (status == LZW_OK) {
         *out = w.buf;
     } else {

@@ -125,26 +125,29 @@ def _kept_lines(removed, n):
     return np.flatnonzero(live)
 
 
-def _run_or_lines(lines):
-    """A slice over ``lines`` when they are consecutive, else ``lines`` itself."""
-    if lines[-1] - lines[0] == len(lines) - 1:
-        return slice(lines[0], lines[-1] + 1)
-    return lines
-
-
 def _place(out, tile, row, col, kept_rows, kept_cols):
     """Write ``tile``, at cropped ``(row, col)``, to its place in the full image.
 
-    An axis whose kept lines under the tile form one run (the usual case:
-    margins only) is written through a slice; a split axis takes an index
-    array, and a tile split on both axes goes through ``np.ix_``.
+    Rows whose kept lines under the tile form one run (the usual case:
+    margins only) are written through a slice, and rows that removed rows
+    split through an index array. Columns are written one run of
+    consecutive kept columns at a time, each through a slice: an index
+    array on the column axis would scatter the tile pixel by pixel.
     """
     h, w = tile.shape[:2]
-    rows = _run_or_lines(kept_rows[row : row + h])
-    cols = _run_or_lines(kept_cols[col : col + w])
-    if not isinstance(rows, slice) and not isinstance(cols, slice):
-        rows, cols = np.ix_(rows, cols)
-    out[rows, cols] = tile
+    rows = kept_rows[row : row + h]
+    if rows[-1] - rows[0] == h - 1:
+        rows = slice(rows[0], rows[-1] + 1)
+    cols = kept_cols[col : col + w]
+    if cols[-1] - cols[0] == w - 1:
+        out[rows, cols[0] : cols[-1] + 1] = tile
+        return
+    # found on a list: numpy temporaries made here, between the tile's
+    # large decode buffers, raised the decoder's peak resident memory
+    lines = cols.tolist()
+    breaks = [j for j in range(1, w) if lines[j] != lines[j - 1] + 1]
+    for start, stop in zip([0, *breaks], [*breaks, w]):
+        out[rows, cols[start] : cols[stop - 1] + 1] = tile[:, start:stop]
 
 
 def uncrop(result: CropResult) -> np.ndarray:

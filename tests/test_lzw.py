@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidecodec import _lzw_py
 from slidecodec.errors import CorruptStreamError, TruncatedStreamError
@@ -20,7 +22,15 @@ from slidecodec.lzw import (
 )
 
 from deadline import deadline
-from lzw_cases import assert_identical, damaged_cases, reset_cases, short_cases
+from lzw_cases import (
+    assert_identical,
+    clear_offsets,
+    damaged_cases,
+    reset_cases,
+    run_cases,
+    runs,
+    short_cases,
+)
 from oracles import oracle_lzw_codes, oracle_pack
 
 try:  # imported directly, so it is built even when SLIDECODEC_PURE is set
@@ -210,45 +220,84 @@ def test_backends_byte_identical():
 
 def test_backends_byte_identical_across_resets():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
-    cases = reset_cases()
+    cases = reset_cases() + run_cases()
     assert_identical(_lzw_native, _lzw_py, cases)
-    codes = [(w, _lzw_native.encode_trace(data, w)[1]) for data, w in cases]
-    assert {12, 16} <= {w for w, c in codes if CLEAR in c}
-    assert max(max(c) for w, c in codes if w == 20) > 1 << 16
+    traces = [(data, w, _lzw_native.encode_trace(data, w)[1]) for data, w in cases]
+    assert {12, 16} <= {w for _, w, c in traces if CLEAR in c}
+    assert max(max(c) for _, w, c in traces if w == 20) > 1 << 16
+    # the dictionary fills up in the middle of a run: the bytes on both
+    # sides of the CLEAR are the same
+    assert {9, 12} <= {w for data, w, c in traces
+                       if any(0 < at < len(data) and data[at - 1] == data[at]
+                              for at in clear_offsets(c))}
 
 
-def test_kernel_compiles_without_warnings():
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0x00, 0x01, 0x55, 0xAA, 0xFF]),
+                          st.integers(1, 3000)), max_size=40))
+def test_backends_byte_identical_on_runs(pairs):
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    data = runs(pairs)
+    for width in (9, 12, 16):
+        assert _lzw_native.encode_trace(data, width) == _lzw_py.encode_trace(data, width)
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # compiled as the cache build is (its -O2), so warnings that only the
+    # optimiser finds, such as an unused static function, count too
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     cc = (os.environ.get("CC") or "cc").split()
+    flags = [f for f in _lzw_native.CFLAGS if f != "-shared"]
     out = subprocess.run(
-        [*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         os.path.join(os.path.dirname(_lzw_py.__file__), "_lzw.c")],
+        [*cc, *flags, "-std=c99", "-Wall", "-Wextra", "-Werror", "-c",
+         str(_lzw_native.SOURCE), "-o", str(tmp_path / "_lzw.o")],
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
 
 
-def test_backends_byte_identical_under_ubsan(tmp_path):
-    # a private cache, so the sanitized build neither reuses nor evicts the
-    # regular one; -fno-sanitize-recover turns any undefined behaviour into
-    # an abort, so a clean exit means none was hit
+def _identity_under(tmp_path, sanitize, **env_extra):
+    """Run every identity case on a kernel built with ``sanitize`` flags, in a subprocess.
+
+    The build goes to a private cache, so it neither reuses nor evicts the
+    regular one.
+    """
     cc = os.environ.get("CC") or "cc"
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
-               CC=f"{cc} -fsanitize=undefined -fno-sanitize-recover=all",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CC=f"{cc} {sanitize}",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
+               **env_extra)
     env.pop("SLIDECODEC_PURE", None)
     script = (
         "import numpy as np\n"
         "from slidecodec import _lzw_native, _lzw_py\n"
-        "from lzw_cases import assert_identical, damaged_cases, reset_cases, short_cases\n"
+        "from lzw_cases import assert_identical, damaged_cases, reset_cases, run_cases, short_cases\n"
         "rng = np.random.default_rng(36)\n"
-        "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases(), damaged_cases(rng))\n"
+        "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases() + run_cases(),\n"
+        "                 damaged_cases(rng))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert len(list((tmp_path / "slidecodec").glob("_lzw-*.so"))) == 1
+
+
+def test_backends_byte_identical_under_ubsan(tmp_path):
+    # -fno-sanitize-recover turns any undefined behaviour into an abort, so a
+    # clean exit means none was hit
+    _identity_under(tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all")
+
+
+def test_backends_byte_identical_under_asan(tmp_path):
+    # the interpreter itself is not instrumented, so the runtime is preloaded;
+    # any out-of-bounds access in the kernel's heap buffers aborts the run.
+    # Leak checking is off: the interpreter keeps memory until exit.
+    cc = (os.environ.get("CC") or "cc").split()
+    runtime = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    _identity_under(tmp_path, "-fsanitize=address -fno-omit-frame-pointer",
+                    LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
 
 
 def test_pure_backend_env_override():

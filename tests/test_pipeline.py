@@ -345,12 +345,16 @@ def placement_cases(rng, c, patch):
     rows_split = with_gaps(dense, interior(ch), margins(cw))
     cols_split = with_gaps(dense, margins(ch), interior(cw))
     both_split = with_gaps(dense, interior(ch), interior(cw))
+    # a removed column after every kept one, so one tile holds many
+    # single-column runs, plus wider gaps where interior() repeats an index
+    column_runs = with_gaps(dense, interior(ch), list(range(1, cw)) + interior(cw))
     lone = np.zeros((int(rng.integers(1, 9)), int(rng.integers(1, 9)), c), dtype=np.uint8)
     lone[int(rng.integers(lone.shape[0])), int(rng.integers(lone.shape[1]))] = 7
     return [
         ("rows split", rows_split),
         ("columns split", cols_split),
         ("both split", both_split),
+        ("many column runs", column_runs),
         ("margins only", with_gaps(dense, margins(ch), margins(cw))),
         ("nothing removed", dense),
         ("everything removed", np.zeros((ch, cw, c), dtype=np.uint8)),
@@ -392,7 +396,8 @@ def test_placement_cases_remove_what_they_name():
     cases = dict(placement_cases(rng, 3, 8))
     for name, split_rows, split_cols in [("rows split", True, False),
                                          ("columns split", False, True),
-                                         ("both split", True, True)]:
+                                         ("both split", True, True),
+                                         ("many column runs", True, True)]:
         res = crop_empty(cases[name])
         for removed, n, split in ((res.removed_rows, cases[name].shape[0], split_rows),
                                   (res.removed_cols, cases[name].shape[1], split_cols)):
