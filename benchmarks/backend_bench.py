@@ -1,9 +1,15 @@
-"""Head-to-head timing of the native C LZW kernels vs the pure-Python fallback.
+"""Head-to-head timing of the native C kernels vs the pure-Python/numpy fallback.
 
-The two backends must produce byte-identical streams; this script checks that
-on every workload, then reports encode/decode throughput for each and the
-native speedup. Workloads cover the codec's real input (bit-plane streams of
-projected slide patches) plus incompressible and highly repetitive extremes.
+LZW: the two backends must produce byte-identical streams; this script
+checks that on every workload, then reports encode/decode throughput for
+each and the native speedup. Workloads cover the codec's real input
+(bit-plane streams of projected slide patches) plus incompressible and highly
+repetitive extremes.
+
+Pixel stages: the native projection and bit-plane kernels must give the same
+output as their numpy references on a slide-like 256x256x3 tile and a
+corpus-like 64x64x3 tile (each a strided view, as the codec passes them);
+then each kernel's throughput in MB/s of pixels is reported for both.
 
 Usage: python benchmarks/backend_bench.py [--size BYTES] [--repeats N]
 """
@@ -14,7 +20,7 @@ import time
 
 import numpy as np
 
-from slidecodec import _lzw_py
+from slidecodec import _lzw_py, bitplane, transform
 from slidecodec.bitplane import to_bitplanes
 from slidecodec.synthetic import smooth_gradient_patch, wsi_like_image
 from slidecodec.transform import project
@@ -89,6 +95,64 @@ def bench(size: int, repeats: int, max_width: int, seed: int) -> int:
     return 0
 
 
+def stage_tiles(seed: int) -> dict:
+    """Tile views as the codec cuts them: 256x256 of a 1024-wide slide (slide-2k)
+    and 64x64 of a 256x256 image (corpus-64)."""
+    slide = np.tile(wsi_like_image(np.random.SeedSequence([seed, 0])), (4, 4, 1))
+    image = wsi_like_image(np.random.SeedSequence([seed, 2]))
+    return {"slide tile 256^2x3": slide[256:512, 512:768],
+            "corpus tile 64^2x3": image[64:128, 128:192]}
+
+
+def stage_kernels():
+    """(name, numpy reference, native kernel, argument maker) per pixel stage;
+    the argument maker takes the tile."""
+    def residuals(tile):
+        return (transform.project(tile),)
+
+    def stream(tile):
+        return (bitplane.to_bitplanes(transform.project(tile)), *tile.shape)
+
+    native = _lzw_native
+    return [
+        ("project", transform._project_numpy, native.project, lambda tile: (tile,)),
+        ("unproject", transform._unproject_numpy,
+         lambda r: native.unproject(r, np.empty(r.shape, np.uint8)), residuals),
+        ("to_bitplanes", bitplane._to_bitplanes_numpy, native.to_bitplanes, residuals),
+        ("from_bitplanes", bitplane._from_bitplanes_numpy, native.from_bitplanes, stream),
+    ]
+
+
+def bench_stages(size: int, repeats: int, seed: int) -> int:
+    if _lzw_native is None:
+        print("note: native kernel cannot be built; no pixel-stage comparison",
+              file=sys.stderr)
+        return 0
+    rows = []
+    for tile_name, tile in stage_tiles(seed).items():
+        calls = max(1, size // tile.nbytes)
+        for stage, reference, kernel, make_args in stage_kernels():
+            args = make_args(tile)
+            # bytes from the bit-plane stage, arrays from the others
+            if not np.array_equal(np.asarray(memoryview(reference(*args))),
+                                  np.asarray(memoryview(kernel(*args)))):
+                print(f"error: native {stage} differs from numpy on {tile_name!r}",
+                      file=sys.stderr)
+                return 1
+            speeds = []
+            for fn in (reference, kernel):
+                seconds = _best_time(lambda: [fn(*args) for _ in range(calls)],
+                                     repeats=repeats) / calls
+                speeds.append(tile.nbytes / seconds / 1e6)
+            rows.append((stage, tile_name, *speeds))
+
+    print(f"{'stage':15} {'tile':20} {'numpy MB/s':>11} {'native MB/s':>12} {'speedup':>8}")
+    for stage, tile_name, numpy_speed, native_speed in rows:
+        print(f"{stage:15} {tile_name:20} {numpy_speed:11.1f} {native_speed:12.1f} "
+              f"{native_speed / numpy_speed:7.1f}x")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=1 << 20,
@@ -98,7 +162,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-width", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    return bench(args.size, args.repeats, args.max_width, args.seed)
+    status = bench(args.size, args.repeats, args.max_width, args.seed)
+    print()
+    return status or bench_stages(args.size, args.repeats, args.seed)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,22 @@
-/* Native LZW kernels, byte-identical to slidecodec/_lzw_py.py.
+/* Native kernels of the codec: LZW, byte-identical to slidecodec/_lzw_py.py,
+   and the four pixel stages, byte-identical to the numpy code in
+   slidecodec/transform.py (project, unproject) and slidecodec/bitplane.py
+   (to_bitplanes, from_bitplanes). The pixel stages are at the end of the
+   file.
 
    The wire rules are stated in _lzw_py.py's docstring. This file uses no
    Python C-API: slidecodec/_lzw_native.py compiles it with the system C
    compiler and calls it through ctypes, which releases the interpreter lock
-   for the length of each call, so patch workers overlap.
+   for the length of each call. Each stage of a tile is one such call, so
+   patch workers overlap on all of a tile's work, not only on LZW.
 
-   Output buffers are malloc'd here: the encoder grows its buffer with
+   LZW output buffers are malloc'd here: the encoder grows its buffer with
    realloc, while the decoder allocates the caller's expected size once and
    stops as soon as the stream disagrees with it, so its output is never
    grown. The caller copies the output out and releases it with lzw_free.
    Every entry point returns one of the LZW_* status codes and fills an
-   lzw_result.
+   lzw_result; the pixel stages write into the caller's arrays and return
+   LZW_OK or LZW_NOMEM.
 
    The encoder keeps its dictionary in two structures. Runs of one byte,
    the bulk of bit-plane streams, live on a run ladder per byte value: the
@@ -431,4 +437,399 @@ done:
         *out = NULL;
     }
     return status;
+}
+
+/* ---------------------------------------------------------------------
+   Pixel stages, byte-identical to the numpy code in slidecodec/transform.py
+   (project, unproject) and slidecodec/bitplane.py (to_bitplanes,
+   from_bitplanes), which states the arithmetic.
+
+   An (h, w, c) uint8 array is addressed as base + m*s0 + n*s1 + k*s2, with
+   strides in bytes that may be negative. Its row m is packed when the row's
+   w*c bytes are contiguous in pixel-major order. The inner loops only ever
+   see packed rows: a row that is not packed is first gathered into a packed
+   scratch row (or, for an output, computed there and scattered). Arrays
+   made by the codec have packed rows, so its tiles are read and written in
+   place; only to_bitplanes packs a tile first, when its rows neither follow
+   each other in memory nor hold whole 8-pixel groups (an edge tile). The
+   caller checks shapes, channel counts and buffer sizes; these functions
+   return LZW_OK, or LZW_NOMEM when a scratch buffer cannot be allocated. */
+
+static int packed_row(size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2)
+{
+    return (c == 1 || s2 == 1) && (w == 1 || s1 == (ptrdiff_t)c);
+}
+
+static void gather_row(const uint8_t *p, size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2,
+                       uint8_t *row)
+{
+    for (size_t n = 0; n < w; n++)
+        for (size_t k = 0; k < c; k++)
+            *row++ = p[(ptrdiff_t)n * s1 + (ptrdiff_t)k * s2];
+}
+
+static void scatter_row(const uint8_t *row, size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2,
+                        uint8_t *p)
+{
+    for (size_t n = 0; n < w; n++)
+        for (size_t k = 0; k < c; k++)
+            p[(ptrdiff_t)n * s1 + (ptrdiff_t)k * s2] = *row++;
+}
+
+/* protobuf's ZigZag in 8 bits: (s << 1) ^ (s >> 7) on the int8 s, and back */
+static inline uint8_t zigzag8(unsigned v) { return (uint8_t)((v << 1) ^ (0u - ((v >> 7) & 1))); }
+static inline uint8_t unzigzag8(unsigned u) { return (uint8_t)(((u & 0xFF) >> 1) ^ (0u - (u & 1))); }
+
+/* Bytes per step of the row passes below: whole pixels of 1 and of 3
+   channels, and whole 16-byte vectors. A step is a loop of CHUNK
+   iterations with no branch and no value carried from one to the next,
+   over restrict pointers, which compilers vectorize at -O2. A pass's steps
+   start where its byte-at-a-time head ends (after the first pixel, or at
+   0) and run CHUNK apart, except that the last is moved back to end at the
+   row's end (next_step): it redoes a few bytes, which is harmless because
+   no pass reads what it writes. A row shorter than one step goes a byte at
+   a time. */
+enum { CHUNK = 48 };
+
+static inline size_t next_step(size_t j, size_t len)
+{
+    return j + CHUNK == len ? len : j + 2 * CHUNK <= len ? j + CHUNK : len - CHUNK;
+}
+
+/* Channel-tie masks of an RGB row, from a pixel boundary: TIE1 selects
+   each pixel's second byte and TIE2 its third, which are tied to the
+   first, one and two bytes before them. Their period is 3, so byte j of a
+   row takes mask index j % 3, and in a step starting on a pixel boundary
+   its index in the step. */
+#define TIMES4(...) __VA_ARGS__ __VA_ARGS__ __VA_ARGS__ __VA_ARGS__
+static const uint8_t TIE1[CHUNK] = {TIMES4(TIMES4(0, 0xFF, 0,))};
+static const uint8_t TIE2[CHUNK] = {TIMES4(TIMES4(0, 0, 0xFF,))};
+
+/* The row and column differences at p, in a row of c-byte pixels whose
+   row above is at q: p - q - left + above-left. */
+static inline uint8_t diff2(const uint8_t *p, const uint8_t *q, size_t c)
+{
+    return (uint8_t)(p[0] - q[0] - p[-(ptrdiff_t)c] + q[-(ptrdiff_t)c]);
+}
+
+/* The zigzag residual of the RGB difference byte at e, past the first
+   pixel: the pixel's first byte is subtracted from its second and third.
+   i is the mask index. */
+static inline uint8_t zigzag_tied(const uint8_t *e, size_t i)
+{
+    return zigzag8((uint8_t)(e[0] - (e[-1] & TIE1[i]) - (e[-2] & TIE2[i])));
+}
+
+/* One packed row of project into z: cur is the row, prev the packed row
+   above it (zeros for row 0), and e a scratch row; c is 1 or 3. */
+static void project_row(const uint8_t *restrict cur, const uint8_t *restrict prev,
+                        uint8_t *restrict e, uint8_t *restrict z, size_t len, size_t c)
+{
+    size_t j;
+    for (j = 0; j < c; j++)
+        e[j] = (uint8_t)(cur[j] - prev[j]);
+    if (len >= c + CHUNK)
+        for (j = c; j < len; j = next_step(j, len))
+            for (size_t i = 0; i < CHUNK; i++)
+                e[j + i] = diff2(cur + j + i, prev + j + i, c);
+    else
+        for (j = c; j < len; j++)
+            e[j] = diff2(cur + j, prev + j, c);
+    if (c == 1) {
+        if (len >= CHUNK)
+            for (j = 0; j < len; j = next_step(j, len))
+                for (size_t i = 0; i < CHUNK; i++)
+                    z[j + i] = zigzag8(e[j + i]);
+        else
+            for (j = 0; j < len; j++)
+                z[j] = zigzag8(e[j]);
+        return;
+    }
+    z[0] = zigzag8(e[0]);
+    z[1] = zigzag8((uint8_t)(e[1] - e[0]));
+    z[2] = zigzag8((uint8_t)(e[2] - e[0]));
+    if (len >= 3 + CHUNK)
+        for (j = 3; j < len; j = next_step(j, len))
+            for (size_t i = 0; i < CHUNK; i++)
+                z[j + i] = zigzag_tied(e + j + i, i);
+    else
+        for (j = 3; j < len; j++)
+            z[j] = zigzag_tied(e + j, j % 3);
+}
+
+/* z (packed, h*w*c bytes) = project(x); c is 1 or 3. */
+int px_project(const uint8_t *x, size_t h, size_t w, size_t c,
+               ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t s2, uint8_t *z)
+{
+    const size_t len = w * c;
+    const int packed = packed_row(w, c, s1, s2);
+    /* a zero row, a difference row, and two gather rows unless rows are packed */
+    uint8_t *scratch = calloc(len * (packed ? 2 : 4) + 1, 1);
+    if (!scratch)
+        return LZW_NOMEM;
+    uint8_t *e = scratch + len, *rows = e + len;
+    const uint8_t *prev = scratch;
+    for (size_t m = 0; m < h && len; m++) {
+        const uint8_t *cur = x + (ptrdiff_t)m * s0;
+        if (!packed) {
+            uint8_t *row = rows + len * (m & 1);
+            gather_row(cur, w, c, s1, s2, row);
+            cur = row;
+        }
+        project_row(cur, prev, e, z + m * len, len, c);
+        prev = cur;
+    }
+    free(scratch);
+    return LZW_OK;
+}
+
+/* Running sums of each channel of an RGB row, in place: three chains in
+   registers. */
+static void sum3(uint8_t *t, size_t len)
+{
+    unsigned a0 = 0, a1 = 0, a2 = 0;
+    for (size_t j = 0; j < len; j += 3) {
+        t[j] = (uint8_t)(a0 += t[j]);
+        t[j + 1] = (uint8_t)(a1 += t[j + 1]);
+        t[j + 2] = (uint8_t)(a2 += t[j + 2]);
+    }
+}
+
+/* The RGB byte at u, past the first pixel, with its pixel's first byte
+   added back to the second and third; i is the mask index. */
+static inline uint8_t untied(const uint8_t *u, size_t i)
+{
+    return (uint8_t)(u[0] + (u[-1] & TIE1[i]) + (u[-2] & TIE2[i]));
+}
+
+/* One packed row of unproject into y: r is the residual row, prev the
+   output row above (zeros for row 0), and t a scratch row; c is 1 or 3.
+   Four passes: undo the zigzag into y, undo the channel pass into t, sum
+   each channel along the row in t (the column pass), add prev (the row
+   pass). The sum carries a value from pixel to pixel, so it is the one
+   scalar pass; its three channels run as separate chains in registers. */
+static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict prev,
+                          uint8_t *restrict t, uint8_t *restrict y, size_t len, size_t c)
+{
+    size_t j;
+    if (len >= CHUNK)
+        for (j = 0; j < len; j = next_step(j, len))
+            for (size_t i = 0; i < CHUNK; i++)
+                y[j + i] = unzigzag8(r[j + i]);
+    else
+        for (j = 0; j < len; j++)
+            y[j] = unzigzag8(r[j]);
+    if (c == 1) {
+        uint8_t a = 0;
+        for (j = 0; j < len; j++)
+            t[j] = a = (uint8_t)(a + y[j]);
+    } else {
+        t[0] = y[0];
+        t[1] = (uint8_t)(y[1] + y[0]);
+        t[2] = (uint8_t)(y[2] + y[0]);
+        if (len >= 3 + CHUNK)
+            for (j = 3; j < len; j = next_step(j, len))
+                for (size_t i = 0; i < CHUNK; i++)
+                    t[j + i] = untied(y + j + i, i);
+        else
+            for (j = 3; j < len; j++)
+                t[j] = untied(y + j, j % 3);
+        sum3(t, len);
+    }
+    if (len >= CHUNK)
+        for (j = 0; j < len; j = next_step(j, len))
+            for (size_t i = 0; i < CHUNK; i++)
+                y[j + i] = (uint8_t)(prev[j + i] + t[j + i]);
+    else
+        for (j = 0; j < len; j++)
+            y[j] = (uint8_t)(prev[j] + t[j]);
+}
+
+/* y = unproject(r), both (h, w, c) with their own strides and not
+   overlapping; c is 1 or 3. */
+int px_unproject(const uint8_t *r, size_t h, size_t w, size_t c,
+                 ptrdiff_t r0, ptrdiff_t r1, ptrdiff_t r2,
+                 uint8_t *y, ptrdiff_t y0, ptrdiff_t y1, ptrdiff_t y2)
+{
+    const size_t len = w * c;
+    const int r_packed = packed_row(w, c, r1, r2), y_packed = packed_row(w, c, y1, y2);
+    /* a zero row, a sum row, a gather row unless r is packed, and two
+       output rows unless y is */
+    uint8_t *scratch = calloc(len * (2 + !r_packed + 2 * !y_packed) + 1, 1);
+    if (!scratch)
+        return LZW_NOMEM;
+    uint8_t *t = scratch + len, *gathered = t + len, *rows = gathered + (r_packed ? 0 : len);
+    const uint8_t *prev = scratch;
+    for (size_t m = 0; m < h && len; m++) {
+        const uint8_t *in = r + (ptrdiff_t)m * r0;
+        uint8_t *out = y + (ptrdiff_t)m * y0;
+        if (!r_packed) {
+            gather_row(in, w, c, r1, r2, gathered);
+            in = gathered;
+        }
+        uint8_t *row = y_packed ? out : rows + len * (m & 1);
+        unproject_row(in, prev, t, row, len, c);
+        if (!y_packed)
+            scatter_row(row, w, c, y1, y2, out);
+        prev = row;
+    }
+    free(scratch);
+    return LZW_OK;
+}
+
+/* Transpose the 8x8 bit matrix in x, row i in byte 7 - i (big-endian
+   order): three masked shift-and-XOR rounds that swap 1x1, 2x2 and 4x4
+   blocks (Hacker's Delight, 2nd ed., 7-3, transpose8). */
+static inline uint64_t transpose8(uint64_t x)
+{
+    uint64_t t;
+    t = (x ^ (x >> 7)) & UINT64_C(0x00AA00AA00AA00AA);
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & UINT64_C(0x0000CCCC0000CCCC);
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & UINT64_C(0x00000000F0F0F0F0);
+    x ^= t ^ (t << 28);
+    return x;
+}
+
+/* p[0], p[c], ..., p[7c] as one word, p[0] in the top byte. Written out:
+   -O2 does not unroll these fixed 8-step loops, and the loop costs more
+   than the work. */
+static inline uint64_t gather8(const uint8_t *p, size_t c)
+{
+    return (uint64_t)p[0] << 56 | (uint64_t)p[c] << 48 | (uint64_t)p[2 * c] << 40
+           | (uint64_t)p[3 * c] << 32 | (uint64_t)p[4 * c] << 24 | (uint64_t)p[5 * c] << 16
+           | (uint64_t)p[6 * c] << 8 | (uint64_t)p[7 * c];
+}
+
+/* The inverse: p[ic] = byte 7 - i of x. */
+static inline void scatter8(uint64_t x, uint8_t *p, size_t c)
+{
+    p[0] = (uint8_t)(x >> 56);
+    p[c] = (uint8_t)(x >> 48);
+    p[2 * c] = (uint8_t)(x >> 40);
+    p[3 * c] = (uint8_t)(x >> 32);
+    p[4 * c] = (uint8_t)(x >> 24);
+    p[5 * c] = (uint8_t)(x >> 16);
+    p[6 * c] = (uint8_t)(x >> 8);
+    p[7 * c] = (uint8_t)x;
+}
+
+/* Planes of groups g0 .. g0 + n - 1 from p, n groups of 8 packed pixels of
+   c channels. Plane section j (bit 7 - j) of channel k starts at
+   planes + (8k + j) * plane_len. Eight groups at a time, each plane's 8
+   bytes are assembled on the stack and stored as one word: the 8c planes
+   being written lie plane_len apart, often a multiple of the page size, and
+   byte stores to that many of them at once evict each other from the
+   cache. */
+static inline void to_planes(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
+                             size_t plane_len, size_t g0)
+{
+    size_t g = 0;
+    for (; g + 8 <= n; g += 8, p += 64 * c) {
+        for (size_t k = 0; k < c; k++) {
+            uint8_t block[8][8]; /* block[j][i]: plane section j, group g + i */
+            for (size_t i = 0; i < 8; i++)
+                scatter8(transpose8(gather8(p + 8 * i * c + k, c)), &block[0][i], 8);
+            uint8_t *out = planes + 8 * k * plane_len + g0 + g;
+            for (size_t j = 0; j < 8; j++)
+                memcpy(out + j * plane_len, block[j], 8);
+        }
+    }
+    for (; g < n; g++, p += 8 * c)
+        for (size_t k = 0; k < c; k++)
+            scatter8(transpose8(gather8(p + k, c)), planes + 8 * k * plane_len + g0 + g,
+                     plane_len);
+}
+
+static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
+                        size_t plane_len, size_t g0)
+{
+    if (c == 1)
+        to_planes(p, n, 1, planes, plane_len, g0);
+    else if (c == 3)
+        to_planes(p, n, 3, planes, plane_len, g0);
+    else
+        to_planes(p, n, c, planes, plane_len, g0);
+}
+
+/* planes = to_bitplanes(x): c * 8 * ceil(h*w / 8) bytes, any c. */
+int px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c,
+                    ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t s2, uint8_t *planes)
+{
+    const size_t len = w * c, npix = h * w, plane_len = (npix + 7) / 8;
+    if (!len || !h)
+        return LZW_OK;
+    const int packed = packed_row(w, c, s1, s2);
+    if (packed && (h == 1 || s0 == (ptrdiff_t)len || w % 8 == 0)) {
+        /* the pixels run on across rows, or every row holds whole groups */
+        const size_t whole = h == 1 || s0 == (ptrdiff_t)len ? h : 1;
+        const size_t rows = h / whole, groups = whole * w / 8;
+        for (size_t m = 0; m < rows; m++)
+            to_planes_c(x + (ptrdiff_t)m * s0, groups, c, planes, plane_len, m * groups);
+        if (npix % 8) {
+            /* the last group, zero-padded (rows that hold whole groups leave none) */
+            uint8_t *tail = calloc(8 * c, 1);
+            if (!tail)
+                return LZW_NOMEM;
+            memcpy(tail, x + 8 * groups * c, (npix % 8) * c);
+            to_planes_c(tail, 1, c, planes, plane_len, groups);
+            free(tail);
+        }
+        return LZW_OK;
+    }
+    /* otherwise pack the whole array first, zero-padded to whole groups */
+    uint8_t *flat = calloc(8 * plane_len * c, 1);
+    if (!flat)
+        return LZW_NOMEM;
+    for (size_t m = 0; m < h; m++) {
+        const uint8_t *row = x + (ptrdiff_t)m * s0;
+        if (packed)
+            memcpy(flat + m * len, row, len);
+        else
+            gather_row(row, w, c, s1, s2, flat + m * len);
+    }
+    to_planes_c(flat, plane_len, c, planes, plane_len, 0);
+    free(flat);
+    return LZW_OK;
+}
+
+/* Pixels of groups g0 .. g0 + n - 1, packed into p; the inverse of
+   to_planes. */
+static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                               size_t plane_len, size_t g0)
+{
+    for (size_t g = 0; g < n; g++, p += 8 * c)
+        for (size_t k = 0; k < c; k++)
+            scatter8(transpose8(gather8(planes + 8 * k * plane_len + g0 + g, plane_len)),
+                     p + k, c);
+}
+
+static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                          size_t plane_len, size_t g0)
+{
+    if (c == 1)
+        from_planes(planes, n, 1, p, plane_len, g0);
+    else if (c == 3)
+        from_planes(planes, n, 3, p, plane_len, g0);
+    else
+        from_planes(planes, n, c, p, plane_len, g0);
+}
+
+/* y (packed, h*w*c bytes) = from_bitplanes(planes); pad bits are ignored. */
+int px_from_bitplanes(const uint8_t *planes, size_t h, size_t w, size_t c, uint8_t *y)
+{
+    const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
+    if (!npix || !c)
+        return LZW_OK;
+    from_planes_c(planes, groups, c, y, plane_len, 0);
+    if (npix % 8) {
+        uint8_t *tail = malloc(8 * c);
+        if (!tail)
+            return LZW_NOMEM;
+        from_planes_c(planes, 1, c, tail, plane_len, groups);
+        memcpy(y + 8 * groups * c, tail, (npix % 8) * c);
+        free(tail);
+    }
+    return LZW_OK;
 }

@@ -24,6 +24,8 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CorruptStreamError, TruncatedStreamError
 
 SOURCE = Path(__file__).with_name("_lzw.c")
@@ -101,17 +103,28 @@ def _load() -> ctypes.CDLL:
 
     u8p = ctypes.POINTER(ctypes.c_uint8)
     result_p = ctypes.POINTER(_Result)
-    lib.lzw_encode.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int,
+    lib.lzw_encode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                                ctypes.POINTER(ctypes.c_int32),
                                ctypes.POINTER(u8p), result_p]
     lib.lzw_encode.restype = ctypes.c_int
-    lib.lzw_decode.argtypes = [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_int,
+    lib.lzw_decode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                                ctypes.c_size_t, ctypes.POINTER(u8p), result_p]
     lib.lzw_decode.restype = ctypes.c_int
     lib.lzw_max_codes.argtypes = [ctypes.c_size_t, ctypes.c_int]
     lib.lzw_max_codes.restype = ctypes.c_size_t
     lib.lzw_free.argtypes = [u8p]
     lib.lzw_free.restype = None
+    size, stride, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p
+    shape = [size, size, size]
+    strides = [stride, stride, stride]
+    for fn, argtypes in (
+        (lib.px_project, [ptr, *shape, *strides, ptr]),
+        (lib.px_unproject, [ptr, *shape, *strides, ptr, *strides]),
+        (lib.px_to_bitplanes, [ptr, *shape, *strides, ptr]),
+        (lib.px_from_bitplanes, [ptr, *shape, ptr]),
+    ):
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int
     return lib
 
 
@@ -148,28 +161,75 @@ def _take(status: int, out, res: _Result, size: int = 0) -> bytes:
     raise MemoryError()
 
 
-def _encode(data: bytes, max_width: int, codes) -> tuple:
+def _address(data):
+    """What ctypes passes as the address of ``data``, bytes or a flat byte
+    memoryview; the caller keeps ``data`` alive for the call."""
+    if isinstance(data, bytes):
+        return data
+    return np.frombuffer(data, dtype=np.uint8).ctypes.data
+
+
+def _encode(data, max_width: int, codes) -> tuple:
     out = ctypes.POINTER(ctypes.c_uint8)()
     res = _Result()
-    status = _lib.lzw_encode(data, len(data), max_width, codes,
+    status = _lib.lzw_encode(_address(data), len(data), max_width, codes,
                              ctypes.byref(out), ctypes.byref(res))
     return _take(status, out, res), res
 
 
-def encode(data: bytes, max_width: int) -> bytes:
+def encode(data, max_width: int) -> bytes:
     return _encode(data, max_width, None)[0]
 
 
-def encode_trace(data: bytes, max_width: int) -> tuple:
+def encode_trace(data, max_width: int) -> tuple:
     """(packed bytes, emitted code list, peak next code) for ``data``."""
     codes = (ctypes.c_int32 * _lib.lzw_max_codes(len(data), max_width))()
     packed, res = _encode(data, max_width, codes)
     return packed, codes[:res.ncodes], res.peak
 
 
-def decode(data: bytes, max_width: int, size: int) -> bytes:
+def decode(data, max_width: int, size: int) -> bytes:
     out = ctypes.POINTER(ctypes.c_uint8)()
     res = _Result()
-    status = _lib.lzw_decode(data, len(data), max_width, size,
+    status = _lib.lzw_decode(_address(data), len(data), max_width, size,
                              ctypes.byref(out), ctypes.byref(res))
     return _take(status, out, res, size)
+
+
+# Pixel stages. The callers in transform.py and bitplane.py validate dtype,
+# shape, channel count, stream length and that ``out`` is writeable before
+# any pointer is passed.
+
+
+def _stage(status: int) -> None:
+    if status != _OK:
+        raise MemoryError()
+
+
+def project(x: np.ndarray) -> np.ndarray:
+    """``transform.project`` of an (h, w, c) uint8 array, c 1 or 3, any strides."""
+    z = np.empty(x.shape, dtype=np.uint8)
+    _stage(_lib.px_project(x.ctypes.data, *x.shape, *x.strides, z.ctypes.data))
+    return z
+
+
+def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``transform.unproject`` of ``r`` into ``out``, same shape, no shared memory."""
+    _stage(_lib.px_unproject(r.ctypes.data, *r.shape, *r.strides,
+                             out.ctypes.data, *out.strides))
+    return out
+
+
+def to_bitplanes(r: np.ndarray) -> bytes:
+    """``bitplane.to_bitplanes`` of an (h, w, c) uint8 array, any strides."""
+    h, w, c = r.shape
+    planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
+    _stage(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, *r.strides, planes.ctypes.data))
+    return planes.tobytes()
+
+
+def from_bitplanes(stream: bytes, height: int, width: int, channels: int) -> np.ndarray:
+    """``bitplane.from_bitplanes`` of a stream of the exact length for the shape."""
+    out = np.empty((height, width, channels), dtype=np.uint8)
+    _stage(_lib.px_from_bitplanes(bytes(stream), height, width, channels, out.ctypes.data))
+    return out

@@ -19,11 +19,17 @@ word at once with three masked shift-and-XOR rounds that swap 1x1, 2x2 and 4x4
 sub-blocks (Hacker's Delight, 2nd ed., section 7-3, "Transposing a Bit
 Matrix", ``transpose8``); a byte transpose then gathers each plane's bytes.
 Transposition is an involution, so decoding runs the same rounds.
+
+Both directions run as one call into the C kernels of ``_lzw_native``, which
+do the same rounds on one 64-bit word per 8 pixels and release the
+interpreter lock for the whole patch, when ``lzw`` loaded them; otherwise,
+and as the reference they are tested against, in numpy.
 """
 
 import numpy as np
 
 from .errors import StructuralError
+from .lzw import native
 
 __all__ = ["to_bitplanes", "from_bitplanes", "effective_bit_histogram", "plane_stream_size"]
 
@@ -73,13 +79,9 @@ def to_bitplanes(residuals: np.ndarray) -> bytes:
     r = np.asarray(residuals)
     if r.dtype != np.uint8 or r.ndim != 3:
         raise StructuralError(f"expected (h, w, c) uint8 array, got {r.dtype} {r.shape}")
-    h, w, c = r.shape
-    npix = h * w
-    plane_len = (npix + 7) // 8
-    pixels = np.zeros((c, 8 * plane_len), dtype=np.uint8)  # zero pad pixels
-    pixels[:, :npix].reshape(c, h, w)[...] = r.transpose(2, 0, 1)
-    planes = _transpose8x8(pixels.reshape(c, plane_len, 8))
-    return planes.transpose(0, 2, 1).tobytes()
+    if native:
+        return native.to_bitplanes(r)
+    return _to_bitplanes_numpy(r)
 
 
 def from_bitplanes(stream: bytes, height: int, width: int, channels: int) -> np.ndarray:
@@ -90,6 +92,26 @@ def from_bitplanes(stream: bytes, height: int, width: int, channels: int) -> np.
             f"bit-plane stream is {len(stream)} bytes, expected {expected} "
             f"for a {height}x{width}x{channels} patch"
         )
+    if native:
+        return native.from_bitplanes(stream, height, width, channels)
+    return _from_bitplanes_numpy(stream, height, width, channels)
+
+
+# The numpy implementations: the pure backend, and the reference the native
+# kernels are tested against.
+
+
+def _to_bitplanes_numpy(r: np.ndarray) -> bytes:
+    h, w, c = r.shape
+    npix = h * w
+    plane_len = (npix + 7) // 8
+    pixels = np.zeros((c, 8 * plane_len), dtype=np.uint8)  # zero pad pixels
+    pixels[:, :npix].reshape(c, h, w)[...] = r.transpose(2, 0, 1)
+    planes = _transpose8x8(pixels.reshape(c, plane_len, 8))
+    return planes.transpose(0, 2, 1).tobytes()
+
+
+def _from_bitplanes_numpy(stream: bytes, height: int, width: int, channels: int) -> np.ndarray:
     npix = height * width
     plane_len = (npix + 7) // 8
     data = np.frombuffer(stream, dtype=np.uint8).reshape(channels, 8, plane_len)

@@ -69,6 +69,14 @@ def _atomic_write(path, data: bytes):
         raise
 
 
+def _threads(text: str) -> int:
+    """``--threads``: a worker count of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_raster_input_flags(sub):
     sub.add_argument("--raw", action="store_true", help="headerless raw input bytes")
     sub.add_argument("--width", type=int, help="raw input width")
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage_flags(p)
     p.add_argument("--drop-alpha", action="store_true",
                    help="discard the alpha channel of RGBA input (lossy)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     _add_raster_input_flags(p)
     p.set_defaults(func=cmd_compress)
 
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--format", choices=("pgm", "ppm", "pam", "raw"),
                    help="output format (default: from extension, then channel count)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser(
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", action="store_true",
                    help="compare lzw / +projection / +bitplane stage combinations")
     _add_stage_flags(p)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -6,6 +6,10 @@ module), and fall back to the pure-Python kernels in ``slidecodec._lzw_py``
 when no library can be built or loaded, or when the ``SLIDECODEC_PURE``
 environment variable is set (then nothing is compiled). Both backends produce
 byte-identical streams; ``BACKEND`` names the one in use.
+
+The same switch picks the pixel-stage kernels: ``native`` is the loaded
+``_lzw_native`` module, whose C projection and bit-plane kernels
+``transform`` and ``bitplane`` call, or None when the pure backends run.
 """
 
 import os
@@ -29,16 +33,14 @@ __all__ = [
 DEFAULT_MAX_WIDTH = 16
 
 if os.environ.get("SLIDECODEC_PURE"):
-    _kernel = _lzw_py
-    BACKEND = "python"
+    native = None
 else:
     try:
-        from . import _lzw_native as _kernel
-
-        BACKEND = "native"
+        from . import _lzw_native as native
     except ImportError:
-        _kernel = _lzw_py
-        BACKEND = "python"
+        native = None
+_kernel = native or _lzw_py
+BACKEND = "native" if native else "python"
 
 
 class CodeTrace(NamedTuple):
@@ -60,10 +62,21 @@ def _check_width(max_width: int) -> None:
         raise ValueError(f"max_width must be in [9, 20], got {max_width}")
 
 
+def _flat(view: memoryview):
+    """The bytes of ``view`` as one flat byte buffer, copied only when they are
+    not contiguous; a view of a whole bytes object is that object."""
+    if not view.c_contiguous:
+        return view.tobytes()
+    if type(view.obj) is bytes and view.nbytes == len(view.obj):
+        return view.obj
+    return view if view.ndim == 1 and view.format == "B" else view.cast("B")
+
+
 def lzw_encode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
-    """Encode a byte string; empty input encodes to just the END code."""
+    """Encode a byte string, or any buffer's bytes in C order; empty input
+    encodes to just the END code."""
     _check_width(max_width)
-    return _kernel.encode(bytes(data), max_width)
+    return _kernel.encode(_flat(memoryview(data)), max_width)
 
 
 def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) -> bytes:
@@ -77,15 +90,16 @@ def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) ->
     _check_width(max_width)
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
+    view = memoryview(data)
     # n bytes hold at most m = 8n // 9 codes, the last of them END, and the
     # j-th data code after a reset stands for at most j bytes
-    m = 8 * len(data) // MIN_WIDTH
+    m = 8 * view.nbytes // MIN_WIDTH
     if size > m * (m - 1) // 2:
         raise TruncatedStreamError(
-            f"a {len(data)}-byte stream decodes to at most {m * (m - 1) // 2} bytes, "
+            f"a {view.nbytes}-byte stream decodes to at most {m * (m - 1) // 2} bytes, "
             f"not {size}"
         )
-    return _kernel.decode(bytes(data), max_width, size)
+    return _kernel.decode(_flat(view), max_width, size)
 
 
 def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTrace:
@@ -95,5 +109,5 @@ def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTra
     :func:`lzw_encode`'s output.
     """
     _check_width(max_width)
-    packed, codes, peak = _kernel.encode_trace(bytes(data), max_width)
+    packed, codes, peak = _kernel.encode_trace(_flat(memoryview(data)), max_width)
     return CodeTrace(tuple(codes), packed, MIN_WIDTH, max_width, peak)

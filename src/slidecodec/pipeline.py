@@ -8,6 +8,14 @@ transposition, LZW. Stage choices are recorded per tile in a stage mask so
 ablation containers decode correctly. Tiles are processed by an optional
 thread pool; results are committed in row-major tile order, so output bytes
 do not depend on the thread count.
+
+Each stage of a tile is one call, looked up as a module global when it is
+made (so a tracer can wrap it from outside). With the native backend (see
+``lzw``) each of those calls is one C kernel call that releases the
+interpreter lock for its whole length: projection, bit-plane transposition
+and LZW, and their inverses. Pool threads therefore overlap on all of a
+tile's pixel work, not only on LZW; what they do not overlap is the Python
+around those calls and the pool's own start-up and per-job cost.
 """
 
 import warnings
@@ -125,6 +133,16 @@ def _kept_lines(removed, n):
     return np.flatnonzero(live)
 
 
+def _destination(out, record, kept_rows, kept_cols):
+    """The view of ``out`` that the tile of ``record`` fills, when its kept
+    rows and its kept columns each form one run; otherwise None."""
+    top, bottom = kept_rows[record.row], kept_rows[record.row + record.height - 1]
+    left, right = kept_cols[record.col], kept_cols[record.col + record.width - 1]
+    if bottom - top == record.height - 1 and right - left == record.width - 1:
+        return out[top : bottom + 1, left : right + 1]
+    return None
+
+
 def _place(out, tile, row, col, kept_rows, kept_cols):
     """Write ``tile``, at cropped ``(row, col)``, to its place in the full image.
 
@@ -215,7 +233,10 @@ def _encode_tile(tile, row, col, config):
     return record, payload
 
 
-def _decode_tile(record, payload, channels, max_width):
+def _decode_tile(record, payload, channels, max_width, dest=None):
+    """The tile's pixels; written to ``dest`` and returned as it when given
+    and the tile is projected (``unproject`` writes in place), otherwise a
+    new array."""
     bitplane = record.stage_mask & STAGE_BITPLANE
     try:
         if bitplane:
@@ -230,12 +251,17 @@ def _decode_tile(record, payload, channels, max_width):
                 record.height, record.width, channels
             )
         if record.stage_mask & STAGE_PROJECTION:
-            arr = unproject(arr)
+            arr = unproject(arr, out=dest)
         return arr
     except CodecError as exc:
         raise type(exc)(
             f"patch at row {record.row}, col {record.col}: {exc}"
         ) from exc
+
+
+def _check_threads(threads):
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
 
 
 def _run(jobs, worker, threads):
@@ -247,6 +273,7 @@ def _run(jobs, worker, threads):
 
 def compress(image, config=None, threads=1) -> bytes:
     """Compress an image into container bytes; inverse of :func:`decompress`."""
+    _check_threads(threads)
     config = config or CompressionConfig()
     image = _check_image(image)
     alpha_dropped = False
@@ -286,10 +313,15 @@ def decompress(data, threads=1) -> np.ndarray:
 
     The full image is allocated once, zeroed, and each tile is decoded
     straight to its place in it, skipping the removed rows and columns; no
-    cropped image is built. Every Container is validated when it is built,
-    which proves the crop lists increasing and in range and the tiles
-    disjoint, so pool workers never write the same pixel.
+    cropped image is built. A projected tile whose kept rows and kept
+    columns each form one run (no removed line crosses it) is unprojected
+    in place, straight into its view of the image; any other tile is
+    decoded to its own array and copied into place. Every Container is
+    validated when it is built, which proves the crop lists increasing and
+    in range and the tiles disjoint, so pool workers never write the same
+    pixel.
     """
+    _check_threads(threads)
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header
     out = np.zeros((hdr.original_height, hdr.original_width, hdr.channels), dtype=np.uint8)
@@ -298,8 +330,10 @@ def decompress(data, threads=1) -> np.ndarray:
 
     def place(job):
         rec, payload = job
-        tile = _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width)
-        _place(out, tile, rec.row, rec.col, kept_rows, kept_cols)
+        dest = _destination(out, rec, kept_rows, kept_cols)
+        tile = _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width, dest)
+        if tile is not dest:
+            _place(out, tile, rec.row, rec.col, kept_rows, kept_cols)
 
     _run(list(zip(cont.records, cont.payloads)), place, threads)
     return out

@@ -18,11 +18,16 @@ right shift, and (u >> 1) ^ (0 - (u & 1)) modulo 256 for the inverse.
 
 Inversion undoes the passes in reverse order, each via a modular cumulative
 sum, and is exact for every input. Both directions accept strided views.
+
+Both directions run as one call into the C kernels of ``_lzw_native`` when
+``lzw`` loaded them, which release the interpreter lock for the whole tile;
+otherwise, and as the reference they are tested against, in numpy.
 """
 
 import numpy as np
 
 from .errors import StructuralError, UnsupportedLayoutError
+from .lzw import native
 
 __all__ = ["zigzag", "unzigzag", "project", "unproject"]
 
@@ -61,6 +66,35 @@ def project(patch: np.ndarray) -> np.ndarray:
     input. Output has the same shape as the input.
     """
     x = _check_patch(patch, (1, 3))
+    if native:
+        return native.project(x)
+    return _project_numpy(x)
+
+
+def unproject(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact inverse of :func:`project`.
+
+    With ``out``, a writeable uint8 array of the residuals' shape (a view
+    into a larger image, say), the patch is written there and ``out`` is
+    returned; otherwise into a new array.
+    """
+    r = _check_patch(residuals, (1, 3))
+    if out is not None:
+        if not (isinstance(out, np.ndarray) and out.dtype == np.uint8
+                and out.shape == r.shape and out.flags.writeable):
+            raise ValueError(f"out must be a writeable uint8 array of shape {r.shape}")
+        if np.may_share_memory(r, out):
+            r = r.copy()
+    if native:
+        return native.unproject(r, np.empty(r.shape, dtype=np.uint8) if out is None else out)
+    return _unproject_numpy(r, out)
+
+
+# The numpy implementations: the pure backend, and the reference the native
+# kernels are tested against.
+
+
+def _project_numpy(x: np.ndarray) -> np.ndarray:
     d = np.empty(x.shape, dtype=np.uint8)
     d[:1] = x[:1]
     np.subtract(x[1:], x[:-1], out=d[1:])
@@ -74,12 +108,10 @@ def project(patch: np.ndarray) -> np.ndarray:
     return ((s << 1) ^ (s >> 7)).view(np.uint8)
 
 
-def unproject(residuals: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`project`."""
-    r = _check_patch(residuals, (1, 3))
+def _unproject_numpy(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     y = (r >> 1) ^ (0 - (r & 1))
     if r.shape[2] == 3:
         y[..., 1] += y[..., 0]
         y[..., 2] += y[..., 0]
     y = np.cumsum(y, axis=1, dtype=np.uint8)
-    return np.cumsum(y, axis=0, dtype=np.uint8, out=y)
+    return np.cumsum(y, axis=0, dtype=np.uint8, out=y if out is None else out)

@@ -1,0 +1,89 @@
+"""Pixel-stage inputs for the native-versus-numpy identity checks.
+
+Each ``check_*`` function runs one or two of the native pixel-stage kernels
+(``project``, ``unproject``, ``to_bitplanes``, ``from_bitplanes`` of a
+``_lzw_native`` module) on one input and asserts the output of the numpy
+reference in ``transform`` or ``bitplane``. ``unproject`` also writes into
+views of a larger array, whose bytes outside the view must stay as they
+were. ``tests/test_native_stages.py`` drives these checks with Hypothesis;
+:func:`check_stages` runs a seeded batch of them, which ``tests/test_lzw.py``
+runs on kernels built with UBSan and with AddressSanitizer.
+"""
+
+import numpy as np
+
+from slidecodec.bitplane import _from_bitplanes_numpy, _to_bitplanes_numpy
+from slidecodec.transform import _project_numpy, _unproject_numpy
+
+LAYOUTS = ("contiguous", "rows reversed", "columns reversed", "strided", "channels reversed")
+
+
+def array(rng, h, w, c, layout):
+    """Random (h, w, c) uint8 bytes in the named memory layout."""
+    base = rng.integers(0, 256, (2 * h + 1, 3 * w + 2, c), dtype=np.uint8)
+    if layout == "contiguous":
+        return np.ascontiguousarray(base[:h, :w])
+    if layout == "rows reversed":
+        return base[::-1][:h, :w]
+    if layout == "columns reversed":
+        return base[:, ::-1][:h, :w]
+    if layout == "strided":
+        return base[1::2, ::3][:h, :w]
+    if layout == "channels reversed":
+        return base[:h, :w, ::-1]
+    raise ValueError(layout)
+
+
+def out_views(h, w):
+    """Slices of a (2h + 4, 3w + 6) canvas that select (h, w) pixel views:
+    packed rows, rows reversed, every other row and third column, and
+    channels reversed."""
+    return [
+        (slice(2, 2 + h), slice(3, 3 + w)),
+        (slice(1 + h, 1, -1), slice(3, 3 + w)),
+        (slice(2, 2 + 2 * h, 2), slice(3, 3 + 3 * w, 3)),
+        (slice(2, 2 + h), slice(3, 3 + w), slice(None, None, -1)),
+    ]
+
+
+def check_project(native, x):
+    assert np.array_equal(native.project(x), _project_numpy(x))
+
+
+def check_unproject(native, r, rng):
+    expect = _unproject_numpy(r)
+    assert np.array_equal(native.unproject(r, np.empty(r.shape, dtype=np.uint8)), expect)
+    h, w, c = r.shape
+    for where in out_views(h, w):
+        canvas = rng.integers(0, 256, (2 * h + 4, 3 * w + 6, c), dtype=np.uint8)
+        want = canvas.copy()
+        want[where] = expect
+        view = canvas[where]
+        assert native.unproject(r, view) is view
+        assert np.array_equal(canvas, want), where  # the view, and nothing else
+
+
+def check_bitplanes(native, r, rng):
+    h, w, c = r.shape
+    stream = native.to_bitplanes(r)
+    assert stream == _to_bitplanes_numpy(r)
+    assert np.array_equal(native.from_bitplanes(stream, h, w, c),
+                          _from_bitplanes_numpy(stream, h, w, c))
+    # any bytes, pad bits included, decode alike
+    noise = rng.integers(0, 256, len(stream), dtype=np.uint8).tobytes()
+    assert np.array_equal(native.from_bitplanes(noise, h, w, c),
+                          _from_bitplanes_numpy(noise, h, w, c))
+
+
+def check_stages(native, rng, count):
+    """``count`` random shapes up to 40x40, each in every layout, through all
+    four kernels: 1 and 3 channels for projection, 0 to 4 for bit-planes."""
+    for _ in range(count):
+        h, w = (int(n) for n in rng.integers(1, 41, 2))
+        for layout in LAYOUTS:
+            for c in (1, 3):
+                x = array(rng, h, w, c, layout)
+                check_project(native, x)
+                check_unproject(native, x, rng)
+            for c in range(5):
+                check_bitplanes(native, array(rng, h, w, c, layout), rng)

@@ -177,6 +177,18 @@ def test_analyze_output_file(tmp_path, capsys):
     assert report["patches"]
 
 
+@pytest.mark.parametrize("command", ["compress", "decompress", "bench"])
+@pytest.mark.parametrize("threads", ["0", "-5", "2.5"])
+def test_threads_below_one_rejected(command, threads, capsys):
+    argv = {"compress": ["compress", "in.ppm", "out.wsc"],
+            "decompress": ["decompress", "in.wsc", "out.ppm"],
+            "bench": ["bench", "--synthetic", "1"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--threads", threads])
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_bench_stdout_deterministic(capsys):
     argv = ["bench", "--synthetic", "3", "--seed", "7", "--patch-size", "64"]
     assert main([*argv, "--threads", "1"]) == 0

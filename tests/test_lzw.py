@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidecodec import _lzw_py
+from slidecodec import lzw as lzw_module
 from slidecodec.errors import CorruptStreamError, TruncatedStreamError
 from slidecodec.lzw import (
     BACKEND,
@@ -166,6 +167,40 @@ def test_round_trip_large_random():
     assert lzw_decode(lzw_encode(data), size=len(data)) == data
 
 
+def test_contiguous_buffers_reach_the_kernel_uncopied(monkeypatch):
+    seen = []
+
+    class Recorder:
+        @staticmethod
+        def encode(data, max_width):
+            seen.append(data)
+            return _lzw_py.encode(data, max_width)
+
+        @staticmethod
+        def decode(data, max_width, size):
+            seen.append(data)
+            return _lzw_py.decode(data, max_width, size)
+
+    monkeypatch.setattr(lzw_module, "_kernel", Recorder)
+    pixels = np.random.default_rng(38).integers(0, 4, (30, 40), dtype=np.uint8)
+    flat = pixels.tobytes()
+    packed = lzw_encode(flat)
+    assert seen.pop() is flat
+    blob = b"head" + packed + b"tail"
+    payload = memoryview(blob)[4:-4]  # as read_container hands out payloads
+    assert lzw_decode(payload, size=len(flat)) == flat
+    assert seen.pop().obj is blob
+    assert lzw_encode(pixels) == packed
+    assert np.shares_memory(np.asarray(seen.pop()), pixels)
+    # a strided view is gathered into one copy, in C order
+    assert lzw_encode(pixels[:, ::2]) == lzw_encode(pixels[:, ::2].tobytes())
+    assert type(seen[-2]) is bytes and seen[-2] == seen[-1]
+    seen.clear()
+    with pytest.raises(TruncatedStreamError):
+        lzw_decode(memoryview(blob)[4:10], size=len(flat))
+    assert not seen  # the size check runs before the kernel is called
+
+
 @pytest.fixture(params=["python", "native"])
 def kernel(request):
     if request.param == "python":
@@ -259,8 +294,9 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def _identity_under(tmp_path, sanitize, **env_extra):
     """Run every identity case on a kernel built with ``sanitize`` flags, in a subprocess.
 
-    The build goes to a private cache, so it neither reuses nor evicts the
-    regular one.
+    The LZW cases, then the pixel-stage cases of ``stage_cases``, whose
+    ``unproject`` writes into views of larger arrays. The build goes to a
+    private cache, so it neither reuses nor evicts the regular one.
     """
     cc = os.environ.get("CC") or "cc"
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -276,6 +312,8 @@ def _identity_under(tmp_path, sanitize, **env_extra):
         "rng = np.random.default_rng(36)\n"
         "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases() + run_cases(),\n"
         "                 damaged_cases(rng))\n"
+        "from stage_cases import check_stages\n"
+        "check_stages(_lzw_native, np.random.default_rng(37), 25)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=300)

@@ -17,6 +17,7 @@ from slidecodec.container import (
 )
 from slidecodec.errors import CodecError, StructuralError, UnsupportedLayoutError
 from slidecodec.lzw import lzw_encode
+from slidecodec import pipeline
 from slidecodec.pipeline import (
     CompressionConfig,
     CropResult,
@@ -246,6 +247,35 @@ def test_threads_do_not_change_bytes():
     four = compress(img, cfg, threads=4)
     assert one == four
     assert (decompress(four, threads=4) == img).all()
+
+
+@pytest.mark.parametrize("threads", [0, -5, 2.5, "2", True, None])
+def test_thread_count_must_be_a_positive_integer(threads):
+    img = sparse_image(np.random.default_rng(58), 12, 10, 3)
+    blob = compress(img, CompressionConfig(patch_size=4))
+    with pytest.raises(ValueError, match="threads"):
+        compress(img, CompressionConfig(patch_size=4), threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        decompress(blob, threads=threads)
+    assert (decompress(blob, threads=np.int64(2)) == img).all()
+
+
+def test_projected_tiles_unproject_into_the_image(monkeypatch):
+    # only tiles that a removed line splits, or that skip projection, are
+    # decoded to an array of their own and copied into place
+    img = np.random.default_rng(59).integers(1, 256, (20, 20, 3), dtype=np.uint8)
+    img[:, 3] = 0  # cropped columns 0-7 are original columns 0-2 and 4-8
+    placed = []
+    place = pipeline._place
+    monkeypatch.setattr(pipeline, "_place", lambda out, tile, *where: (
+        placed.append(where[:2]), place(out, tile, *where)))
+    every_tile = [(row, col) for row in (0, 8, 16) for col in (0, 8, 16)]
+    for projection, copied in ((True, [(0, 0), (8, 0), (16, 0)]), (False, every_tile)):
+        config = CompressionConfig(patch_size=8, enable_projection=projection)
+        for threads in (1, 2):
+            placed.clear()
+            assert (decompress(compress(img, config), threads=threads) == img).all()
+            assert sorted(placed) == copied
 
 
 def test_decompress_accepts_parsed_container():
