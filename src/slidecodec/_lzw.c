@@ -450,8 +450,8 @@ done:
    see packed rows: a row that is not packed is first gathered into a packed
    scratch row (or, for an output, computed there and scattered). Arrays
    made by the codec have packed rows, so its tiles are read and written in
-   place; only to_bitplanes packs a tile first, when its rows neither follow
-   each other in memory nor hold whole 8-pixel groups (an edge tile). The
+   place; only to_bitplanes packs a tile first, when its rows do not follow
+   each other in memory (a view of the image, with projection off). The
    caller checks shapes, channel counts and buffer sizes; these functions
    return LZW_OK, or LZW_NOMEM when a scratch buffer cannot be allocated. */
 
@@ -761,14 +761,12 @@ int px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c,
     if (!len || !h)
         return LZW_OK;
     const int packed = packed_row(w, c, s1, s2);
-    if (packed && (h == 1 || s0 == (ptrdiff_t)len || w % 8 == 0)) {
-        /* the pixels run on across rows, or every row holds whole groups */
-        const size_t whole = h == 1 || s0 == (ptrdiff_t)len ? h : 1;
-        const size_t rows = h / whole, groups = whole * w / 8;
-        for (size_t m = 0; m < rows; m++)
-            to_planes_c(x + (ptrdiff_t)m * s0, groups, c, planes, plane_len, m * groups);
+    if (packed && (h == 1 || s0 == (ptrdiff_t)len)) {
+        /* the pixels run on across rows: read them in place */
+        const size_t groups = npix / 8;
+        to_planes_c(x, groups, c, planes, plane_len, 0);
         if (npix % 8) {
-            /* the last group, zero-padded (rows that hold whole groups leave none) */
+            /* the last group, zero-padded */
             uint8_t *tail = calloc(8 * c, 1);
             if (!tail)
                 return LZW_NOMEM;
