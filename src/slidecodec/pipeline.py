@@ -5,21 +5,27 @@ cropped and their indices recorded. The cropped image is cut into
 patch_size x patch_size tiles, edge tiles keeping their true size. Each tile
 passes through the enabled stages in order: projection residuals, bit-plane
 transposition, LZW. Stage choices are recorded per tile in a stage mask so
-ablation containers decode correctly. Tiles are processed by an optional
-thread pool; results are committed in row-major tile order, so output bytes
-do not depend on the thread count.
+ablation containers decode correctly.
+
+``threads`` counts every thread that works on a call's tiles, the calling
+thread included: the caller starts ``min(threads, tiles) - 1`` helper
+threads and works beside them, each pulling the next tile index, one at a
+time, until none is left. Results are committed in row-major tile order, so
+output bytes do not depend on the thread count, and the error raised is that
+of the first failing tile in tile order, the one a single thread would
+raise. With one thread or one tile everything runs inline on the caller.
 
 Each stage of a tile is one call, looked up as a module global when it is
 made (so a tracer can wrap it from outside). With the native backend (see
 ``lzw``) each of those calls is one C kernel call that releases the
 interpreter lock for its whole length: projection, bit-plane transposition
-and LZW, and their inverses. Pool threads therefore overlap on all of a
+and LZW, and their inverses. Tile threads therefore overlap on all of a
 tile's pixel work, not only on LZW; what they do not overlap is the Python
-around those calls and the pool's own start-up and per-job cost.
+around those calls, and each call's thread start-up.
 """
 
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,9 +271,42 @@ def _check_threads(threads):
 
 
 def _run(jobs, worker, threads):
+    """``[worker(j) for j in jobs]`` on up to ``threads`` threads, caller included.
+
+    The caller starts ``min(threads, len(jobs)) - 1`` helpers; then it and
+    they pull job indices one at a time from one shared iterator (its
+    ``next`` is a single C call, so no index is handed out twice) and store
+    each result at its index. A thread that has run a job stops pulling once
+    any job has failed. Every job is run to the end by whoever pulled it and
+    indices are pulled in order, so every job before the lowest failing
+    index has run and succeeded: that failure, the one raised, is the one
+    the inline loop would raise.
+    """
     if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
+        results = [None] * len(jobs)
+        failures = []
+        indices = iter(range(len(jobs)))
+
+        def work():
+            for i in indices:
+                try:
+                    results[i] = worker(jobs[i])
+                except BaseException as exc:
+                    failures.append((i, exc))
+                if failures:
+                    return
+
+        helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return results
     return [worker(j) for j in jobs]
 
 
@@ -318,7 +357,7 @@ def decompress(data, threads=1) -> np.ndarray:
     in place, straight into its view of the image; any other tile is
     decoded to its own array and copied into place. Every Container is
     validated when it is built, which proves the crop lists increasing and
-    in range and the tiles disjoint, so pool workers never write the same
+    in range and the tiles disjoint, so tile threads never write the same
     pixel.
     """
     _check_threads(threads)

@@ -1,4 +1,8 @@
+import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -298,6 +302,104 @@ def test_patch_errors_carry_coordinates():
         decompress(blob)
 
 
+def test_first_failing_tile_raised_at_any_thread_count():
+    # two broken tiles, the earlier at row 0, col 16: whichever a thread
+    # meets first, the earlier one is raised, as on one thread, and no
+    # helper thread outlives the call
+    rng = np.random.default_rng(58)
+    img = rng.integers(1, 256, (40, 40, 1), dtype=np.uint8)
+    parsed = read_container(compress(img, CompressionConfig(patch_size=16)))
+    payloads = list(parsed.payloads)
+    for target in (1, 6):  # patches at row 0, col 16 and row 32, col 0
+        payloads[target] = bytes(len(payloads[target]))
+    blob = write_container(parsed.header, parsed.removed_rows,
+                           parsed.removed_cols, parsed.records, tuple(payloads))
+    for threads in (1, 2, 8):
+        before = threading.active_count()
+        with pytest.raises(CodecError, match=r"patch at row 0, col 16:"):
+            decompress(blob, threads=threads)
+        assert threading.active_count() == before
+
+
+def test_dispatch_raises_the_lowest_failing_job():
+    # job 0 fails late and job 1 at once; jobs after a failure are not started
+    ran = []
+
+    def worker(job):
+        ran.append(job)
+        if job == 0:
+            time.sleep(0.05)
+            raise ValueError("job 0")
+        if job == 1:
+            raise KeyError("job 1")
+        time.sleep(0.001)
+        return job
+
+    for threads in (1, 2, 3):
+        ran.clear()
+        with pytest.raises(ValueError, match="job 0"):
+            pipeline._run(list(range(100)), worker, threads)
+        assert 0 in ran and len(ran) < 10
+    assert pipeline._run(list(range(7)), lambda j: j * j, 3) == [j * j for j in range(7)]
+
+
+@pytest.fixture
+def thread_log(monkeypatch):
+    """Record the threads that run LZW calls and every thread started."""
+    log = {"idents": set(), "started": 0}
+
+    def on_thread(fn):
+        def wrapped(*args, **kwargs):
+            log["idents"].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    start = threading.Thread.start
+
+    def counted_start(self):
+        log["started"] += 1
+        start(self)
+
+    monkeypatch.setattr(pipeline, "lzw_encode", on_thread(pipeline.lzw_encode))
+    monkeypatch.setattr(pipeline, "lzw_decode", on_thread(pipeline.lzw_decode))
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return log
+
+
+def test_thread_count_is_bounded_by_the_tiles(thread_log):
+    rng = np.random.default_rng(60)
+    img = rng.integers(1, 256, (16, 48, 3), dtype=np.uint8)  # three tiles
+    cfg = CompressionConfig(patch_size=16)
+    blob = compress(img, cfg, threads=8)
+    assert len(read_container(blob).records) == 3
+    assert len(thread_log["idents"]) <= 3
+    assert thread_log["started"] == 2  # helpers beside the caller
+    thread_log["idents"].clear()
+    assert (decompress(blob, threads=8) == img).all()
+    assert len(thread_log["idents"]) <= 3
+    assert thread_log["started"] == 4
+
+
+@pytest.mark.parametrize("threads, shape", [(1, (16, 48, 3)), (4, (16, 16, 3))])
+def test_one_thread_or_one_tile_runs_on_the_caller(thread_log, threads, shape):
+    img = np.random.default_rng(61).integers(1, 256, shape, dtype=np.uint8)
+    blob = compress(img, CompressionConfig(patch_size=16), threads=threads)
+    assert (decompress(blob, threads=threads) == img).all()
+    assert thread_log["idents"] == {threading.get_ident()}
+    assert thread_log["started"] == 0
+
+
+def test_import_does_not_load_an_executor():
+    # concurrent.futures, with the logging and queue it imports, cost
+    # about 8 ms of every fresh interpreter's set-up
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, slidecodec; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_decompressed_dtype_and_shape():
     rng = np.random.default_rng(59)
     img = sparse_image(rng, 5, 6, 3)
@@ -473,6 +575,9 @@ def test_placement_under_thread_contention():
         with deadline(30.0):
             for _ in range(3):
                 assert (decompress(blob, threads=8) == img).all()
+            # the shared tile index under the same preemption: every tile
+            # taken once, results in tile order
+            assert compress(img, CompressionConfig(patch_size=4), threads=8) == blob
     finally:
         sys.setswitchinterval(previous)
 
