@@ -10,13 +10,12 @@
    for the length of each call. Each stage of a tile is one such call, so
    patch workers overlap on all of a tile's work, not only on LZW.
 
-   LZW output buffers are malloc'd here: the encoder grows its buffer with
-   realloc, while the decoder allocates the caller's expected size once and
-   stops as soon as the stream disagrees with it, so its output is never
-   grown. The caller copies the output out and releases it with lzw_free.
-   Every entry point returns one of the LZW_* status codes and fills an
-   lzw_result; the pixel stages write into the caller's arrays and return
-   LZW_OK or LZW_NOMEM.
+   Only the encoder allocates its output: it grows its buffer with realloc,
+   and the caller copies the output out and releases it with lzw_free. The
+   decoder writes into the caller's buffer of the expected size and stops as
+   soon as the stream disagrees with it. The LZW entry points return one of
+   the LZW_* status codes and fill an lzw_result; the pixel stages write
+   into the caller's arrays and return LZW_OK or LZW_NOMEM.
 
    The encoder keeps its dictionary in two structures. Runs of one byte,
    the bulk of bit-plane streams, live on a run ladder per byte value: the
@@ -36,7 +35,7 @@ enum { CLEAR = 256, END = 257, FIRST_CODE = 258, MIN_WIDTH = 9 };
 enum { LZW_OK = 0, LZW_TRUNCATED = 1, LZW_CORRUPT = 2, LZW_NOMEM = 3, LZW_LENGTH = 4 };
 
 typedef struct {
-    size_t len;        /* bytes in *out; on LZW_LENGTH, the length decoded */
+    size_t len;        /* bytes of output; on LZW_LENGTH, the length decoded */
     size_t ncodes;     /* encode: codes written to the caller's code buffer */
     size_t pos;        /* decode: input bytes consumed */
     int32_t code;      /* decode: the last code read */
@@ -320,13 +319,20 @@ done:
     return status;
 }
 
-/* Decode src[0:n] up to its END code into exactly size bytes. On LZW_OK
-   *out holds them; on LZW_TRUNCATED res->pos, and on LZW_CORRUPT res->code
-   and res->next_code, say where the stream went wrong. LZW_LENGTH means the
-   code read by res->pos would take the output to res->len > size bytes, or
-   END arrived after only res->len < size. */
-int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size,
-               uint8_t **out, lzw_result *res)
+/* Decode src[0:n] up to its END code into out, which holds size bytes. On
+   LZW_TRUNCATED res->pos, and on LZW_CORRUPT res->code and res->next_code,
+   say where the stream went wrong. LZW_LENGTH means the code read by
+   res->pos would take the output to res->len > size bytes, or END arrived
+   after only res->len < size.
+
+   An entry is one code's string plus the first byte of the next code's, so
+   it already lies in the output (the LZ77 view of LZ78 phrases). start[k]
+   is where code k since the last CLEAR, counting from 0, was written (until
+   the dictionary is full), so entry FIRST_CODE + k is the start[k + 1] -
+   start[k] + 1 bytes at start[k], and each code is one memcpy from output
+   that ends at the write position or before. */
+int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t *out,
+               lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     /* Every code read after the first adds at most one entry, and a stream
@@ -334,21 +340,15 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size,
     size_t entries = (size_t)(capacity - FIRST_CODE);
     if (n / MIN_WIDTH * 8 + 8 < entries)
         entries = n / MIN_WIDTH * 8 + 8;
-    int32_t *prefix = malloc(entries * sizeof *prefix);
-    int32_t *length = malloc(entries * sizeof *length);
-    uint8_t *suffix = malloc(entries);
-    uint8_t *first = malloc(entries);
+    size_t *start = malloc((entries + 1) * sizeof *start);
+    if (!start)
+        return LZW_NOMEM;
+
+    int status;
     size_t len = 0, pos = 0;
-    uint8_t *buf = malloc(size ? size : 1);
-
-    int status = LZW_NOMEM;
-    if (!prefix || !length || !suffix || !first || !buf)
-        goto done;
-
     uint64_t acc = 0;
     int nbits = 0, width = MIN_WIDTH, have_prev = 0;
     int32_t next_code = FIRST_CODE, code = 0;
-    int32_t prev_code = 0, prev_len = 0, prev_first = 0;
     for (;;) {
         while (nbits < width) {
             if (pos >= n) {
@@ -369,56 +369,44 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size,
             have_prev = 0;
             continue;
         }
-        int kwk = 0;
-        int32_t cur_len, cur_first;
-        if (code < 256) {
-            cur_len = 1;
-            cur_first = code;
-        } else if (code >= FIRST_CODE && code < next_code) {
-            cur_len = length[code - FIRST_CODE];
-            cur_first = first[code - FIRST_CODE];
-        } else if (code == next_code && have_prev && next_code < capacity) {
-            kwk = 1; /* the entry being defined by this very code */
-            cur_len = prev_len + 1;
-            cur_first = prev_first;
-        } else {
+        /* where the phrase is copied from and its length; kwk marks the
+           entry that this very code defines: the latest code's phrase,
+           which runs up to the write position, plus its first byte */
+        const int kwk = code == next_code && have_prev && next_code < capacity;
+        size_t from = 0, cur_len = 1;
+        if (code >= FIRST_CODE && (code < next_code || kwk)) {
+            from = start[code - FIRST_CODE];
+            cur_len = (kwk ? len : start[code - FIRST_CODE + 1]) - from + 1;
+        } else if (code >= 256) {
             res->code = code;
             res->next_code = next_code;
             status = LZW_CORRUPT;
             goto done;
         }
-        if ((size_t)cur_len > size - len) {
-            res->len = len + (size_t)cur_len;
+        if (cur_len > size - len) {
+            res->len = len + cur_len;
             res->pos = pos;
             status = LZW_LENGTH;
             goto done;
         }
-        /* materialise cur by walking its (prefix, suffix) chain backwards */
-        size_t tail = len + (size_t)cur_len - 1;
-        int32_t c = code;
-        if (kwk) {
-            buf[tail--] = (uint8_t)prev_first;
-            c = prev_code;
+        if (code < 256) {
+            out[len] = (uint8_t)code;
+        } else {
+            memcpy(out + len, out + from, cur_len - kwk);
+            if (kwk)
+                out[len + cur_len - 1] = out[from];
         }
-        while (c >= FIRST_CODE) {
-            buf[tail--] = suffix[c - FIRST_CODE];
-            c = prefix[c - FIRST_CODE];
+        /* the entry made of the latest code and this one's first byte, then
+           where this code is written */
+        if (!have_prev || next_code < capacity) {
+            if (have_prev) {
+                next_code++;
+                if (next_code >= (1 << width) && width < max_width)
+                    width++;
+            }
+            start[next_code - FIRST_CODE] = len;
         }
-        buf[tail] = (uint8_t)c;
-        if (have_prev && next_code < capacity) {
-            const int32_t idx = next_code - FIRST_CODE;
-            prefix[idx] = prev_code;
-            suffix[idx] = (uint8_t)cur_first;
-            length[idx] = prev_len + 1;
-            first[idx] = (uint8_t)prev_first;
-            next_code++;
-            if (next_code >= (1 << width) && width < max_width)
-                width++;
-        }
-        len += (size_t)cur_len;
-        prev_code = code;
-        prev_len = cur_len;
-        prev_first = cur_first;
+        len += cur_len;
         have_prev = 1;
     }
     res->len = len;
@@ -426,16 +414,7 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size,
     status = len == size ? LZW_OK : LZW_LENGTH;
 
 done:
-    free(prefix);
-    free(length);
-    free(suffix);
-    free(first);
-    if (status == LZW_OK) {
-        *out = buf;
-    } else {
-        free(buf);
-        *out = NULL;
-    }
+    free(start);
     return status;
 }
 

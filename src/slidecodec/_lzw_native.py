@@ -2,7 +2,9 @@
 
 Same interface as ``slidecodec._lzw_py`` (``encode``, ``decode``,
 ``encode_trace``) and byte-identical to it. ctypes releases the interpreter
-lock for the length of each call, so patch workers overlap.
+lock for the length of each call, so patch workers overlap. ``decode``
+returns a memoryview of the numpy array the kernel wrote into; only the
+encoder allocates its output in C.
 
 Importing this module loads the compiled library from a per-user cache
 (``$XDG_CACHE_HOME/slidecodec``, by default ``~/.cache/slidecodec``) under a
@@ -108,7 +110,7 @@ def _load() -> ctypes.CDLL:
                                ctypes.POINTER(u8p), result_p]
     lib.lzw_encode.restype = ctypes.c_int
     lib.lzw_decode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
-                               ctypes.c_size_t, ctypes.POINTER(u8p), result_p]
+                               ctypes.c_size_t, ctypes.c_void_p, result_p]
     lib.lzw_decode.restype = ctypes.c_int
     lib.lzw_max_codes.argtypes = [ctypes.c_size_t, ctypes.c_int]
     lib.lzw_max_codes.restype = ctypes.c_size_t
@@ -134,16 +136,11 @@ except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
     raise ImportError(f"native LZW kernel unavailable: {exc}") from exc
 
 
-def _take(status: int, out, res: _Result, size: int = 0) -> bytes:
-    """Copy the kernel's output buffer into bytes and free it, or raise.
-
-    ``size`` is the decoded length a decode call expected.
-    """
-    try:
-        if status == _OK:
-            return ctypes.string_at(out, res.len)
-    finally:
-        _lib.lzw_free(out)
+def _check(status: int, res: _Result = None, size: int = 0) -> None:
+    """Raise the error a kernel's status stands for; ``res`` and ``size``
+    describe a decode call."""
+    if status == _OK:
+        return
     if status == _TRUNCATED:
         raise TruncatedStreamError(f"stream ended at byte {res.pos} before the END code")
     if status == _CORRUPT:
@@ -174,7 +171,11 @@ def _encode(data, max_width: int, codes) -> tuple:
     res = _Result()
     status = _lib.lzw_encode(_address(data), len(data), max_width, codes,
                              ctypes.byref(out), ctypes.byref(res))
-    return _take(status, out, res), res
+    try:
+        _check(status)
+        return ctypes.string_at(out, res.len), res
+    finally:
+        _lib.lzw_free(out)
 
 
 def encode(data, max_width: int) -> bytes:
@@ -188,12 +189,12 @@ def encode_trace(data, max_width: int) -> tuple:
     return packed, codes[:res.ncodes], res.peak
 
 
-def decode(data, max_width: int, size: int) -> bytes:
-    out = ctypes.POINTER(ctypes.c_uint8)()
+def decode(data, max_width: int, size: int) -> memoryview:
+    out = np.empty(size, dtype=np.uint8)
     res = _Result()
-    status = _lib.lzw_decode(_address(data), len(data), max_width, size,
-                             ctypes.byref(out), ctypes.byref(res))
-    return _take(status, out, res, size)
+    _check(_lib.lzw_decode(_address(data), len(data), max_width, size,
+                           out.ctypes.data, ctypes.byref(res)), res, size)
+    return memoryview(out)
 
 
 # Pixel stages. The callers in transform.py and bitplane.py validate dtype,
@@ -201,21 +202,16 @@ def decode(data, max_width: int, size: int) -> bytes:
 # any pointer is passed.
 
 
-def _stage(status: int) -> None:
-    if status != _OK:
-        raise MemoryError()
-
-
 def project(x: np.ndarray) -> np.ndarray:
     """``transform.project`` of an (h, w, c) uint8 array, c 1 or 3, any strides."""
     z = np.empty(x.shape, dtype=np.uint8)
-    _stage(_lib.px_project(x.ctypes.data, *x.shape, *x.strides, z.ctypes.data))
+    _check(_lib.px_project(x.ctypes.data, *x.shape, *x.strides, z.ctypes.data))
     return z
 
 
 def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``transform.unproject`` of ``r`` into ``out``, same shape, no shared memory."""
-    _stage(_lib.px_unproject(r.ctypes.data, *r.shape, *r.strides,
+    _check(_lib.px_unproject(r.ctypes.data, *r.shape, *r.strides,
                              out.ctypes.data, *out.strides))
     return out
 
@@ -224,12 +220,13 @@ def to_bitplanes(r: np.ndarray) -> bytes:
     """``bitplane.to_bitplanes`` of an (h, w, c) uint8 array, any strides."""
     h, w, c = r.shape
     planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
-    _stage(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, *r.strides, planes.ctypes.data))
+    _check(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, *r.strides, planes.ctypes.data))
     return planes.tobytes()
 
 
-def from_bitplanes(stream: bytes, height: int, width: int, channels: int) -> np.ndarray:
-    """``bitplane.from_bitplanes`` of a stream of the exact length for the shape."""
+def from_bitplanes(stream, height: int, width: int, channels: int) -> np.ndarray:
+    """``bitplane.from_bitplanes`` of a stream of the exact length for the shape,
+    bytes or a flat byte memoryview, read in place."""
     out = np.empty((height, width, channels), dtype=np.uint8)
-    _stage(_lib.px_from_bitplanes(bytes(stream), height, width, channels, out.ctypes.data))
+    _check(_lib.px_from_bitplanes(_address(stream), height, width, channels, out.ctypes.data))
     return out

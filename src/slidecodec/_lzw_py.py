@@ -93,8 +93,9 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
     return bytes(out), max(peak, next_code)
 
 
-def decode(data: bytes, max_width: int, size: int) -> bytes:
-    """Decode up to END into exactly ``size`` bytes, or raise CorruptStreamError."""
+def decode(data: bytes, max_width: int, size: int) -> memoryview:
+    """Decode up to END into exactly ``size`` bytes, returned as a memoryview
+    like the native kernel's, or raise CorruptStreamError."""
     capacity = 1 << max_width
     table: list[bytes] = []
     next_code = FIRST_CODE
@@ -129,7 +130,7 @@ def decode(data: bytes, max_width: int, size: int) -> bytes:
                 raise CorruptStreamError(
                     f"END read by byte {pos} after {len(out)} of the expected {size} bytes"
                 )
-            return bytes(out)
+            return memoryview(out)
         if code == CLEAR:
             table.clear()
             next_code = FIRST_CODE

@@ -61,6 +61,8 @@ STAGE_PROJECTION = 1
 STAGE_BITPLANE = 2
 STAGE_LZW = 4
 
+_RECORD = struct.Struct("<IIIIQQB")  # one patch record, in PatchRecord's field order
+
 _FLAG_ALPHA = 0x0001
 _WIDTH_SHIFT = 1
 _WIDTH_MASK = 0x1F
@@ -207,8 +209,7 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
     _put_index_list(out, cont.removed_cols)
     out += struct.pack("<I", len(cont.records))
     for rec in cont.records:
-        out += struct.pack(
-            "<IIIIQQB",
+        out += _RECORD.pack(
             rec.row,
             rec.col,
             rec.height,
@@ -288,13 +289,8 @@ def read_container(data: bytes) -> Container:
     removed_rows = r.index_list("removed-rows block")
     removed_cols = r.index_list("removed-cols block")
     (count,) = r.unpack("<I", "patch count")
-    records = []
-    for i in range(count):
-        row, col, ph, pw, raw_len, enc_len, mask = r.unpack(
-            "<IIIIQQB", f"patch record {i}"
-        )
-        records.append(PatchRecord(row, col, ph, pw, raw_len, enc_len, mask))
-    records = tuple(records)
+    table = r.take(count * _RECORD.size, "patch records")
+    records = tuple(PatchRecord(*fields) for fields in _RECORD.iter_unpack(table))
     payloads = tuple(
         r.take(rec.enc_len, f"payload of patch {i}") for i, rec in enumerate(records)
     )

@@ -79,26 +79,35 @@ def lzw_encode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
     return _kernel.encode(_flat(memoryview(data)), max_width)
 
 
-def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) -> bytes:
+def check_decoded_size(nbytes: int, size: int) -> None:
+    """Raise TruncatedStreamError when no ``nbytes``-byte stream decodes to ``size`` bytes.
+
+    ``nbytes`` bytes hold at most m = 8 * nbytes // 9 codes, the last of
+    them END, and the j-th data code after a reset stands for at most j
+    bytes, so no stream decodes to more than m * (m - 1) / 2 bytes.
+    """
+    m = 8 * nbytes // MIN_WIDTH
+    if size > m * (m - 1) // 2:
+        raise TruncatedStreamError(
+            f"a {nbytes}-byte stream decodes to at most {m * (m - 1) // 2} bytes, not {size}"
+        )
+
+
+def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) -> memoryview:
     """Exact inverse of :func:`lzw_encode` for the same max_width.
 
     ``size`` is the decoded length (a patch record states it). A stream too
-    short to reach it raises TruncatedStreamError before anything is
-    allocated; decoding raises CorruptStreamError as soon as a code would
-    pass ``size``, or when END arrives short of it.
+    short to reach it raises TruncatedStreamError (see
+    :func:`check_decoded_size`) before anything is allocated; otherwise the
+    output is allocated once, at ``size`` bytes, and returned uncopied as a
+    flat byte memoryview. Decoding raises CorruptStreamError as soon as a
+    code would pass ``size``, or when END arrives short of it.
     """
     _check_width(max_width)
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     view = memoryview(data)
-    # n bytes hold at most m = 8n // 9 codes, the last of them END, and the
-    # j-th data code after a reset stands for at most j bytes
-    m = 8 * view.nbytes // MIN_WIDTH
-    if size > m * (m - 1) // 2:
-        raise TruncatedStreamError(
-            f"a {view.nbytes}-byte stream decodes to at most {m * (m - 1) // 2} bytes, "
-            f"not {size}"
-        )
+    check_decoded_size(view.nbytes, size)
     return _kernel.decode(_flat(view), max_width, size)
 
 

@@ -43,7 +43,7 @@ from .container import (
     write_container,
 )
 from .errors import CodecError, StructuralError, UnsupportedLayoutError
-from .lzw import DEFAULT_MAX_WIDTH, lzw_decode, lzw_encode
+from .lzw import DEFAULT_MAX_WIDTH, check_decoded_size, lzw_decode, lzw_encode
 from .transform import project, unproject
 
 __all__ = [
@@ -239,18 +239,25 @@ def _encode_tile(tile, row, col, config):
     return record, payload
 
 
+def _stream_size(record, channels):
+    """The bytes the LZW stream of ``record``'s tile decodes to."""
+    if record.stage_mask & STAGE_BITPLANE:
+        return plane_stream_size(record.height, record.width, channels)
+    return record.raw_len
+
+
+def _in_patch(record, exc):
+    """``exc`` again, its message prefixed with where ``record``'s tile lies."""
+    return type(exc)(f"patch at row {record.row}, col {record.col}: {exc}")
+
+
 def _decode_tile(record, payload, channels, max_width, dest=None):
     """The tile's pixels; written to ``dest`` and returned as it when given
     and the tile is projected (``unproject`` writes in place), otherwise a
     new array."""
-    bitplane = record.stage_mask & STAGE_BITPLANE
     try:
-        if bitplane:
-            size = plane_stream_size(record.height, record.width, channels)
-        else:
-            size = record.raw_len
-        data = lzw_decode(payload, max_width, size=size)
-        if bitplane:
+        data = lzw_decode(payload, max_width, size=_stream_size(record, channels))
+        if record.stage_mask & STAGE_BITPLANE:
             arr = from_bitplanes(data, record.height, record.width, channels)
         else:
             arr = np.frombuffer(data, dtype=np.uint8).reshape(
@@ -260,9 +267,7 @@ def _decode_tile(record, payload, channels, max_width, dest=None):
             arr = unproject(arr, out=dest)
         return arr
     except CodecError as exc:
-        raise type(exc)(
-            f"patch at row {record.row}, col {record.col}: {exc}"
-        ) from exc
+        raise _in_patch(record, exc) from exc
 
 
 def _check_threads(threads):
@@ -350,7 +355,9 @@ def compress(image, config=None, threads=1) -> bytes:
 def decompress(data, threads=1) -> np.ndarray:
     """Rebuild the exact image from container bytes (or a parsed Container).
 
-    The full image is allocated once, zeroed, and each tile is decoded
+    Each payload is first checked against the bytes its record says it
+    decodes to (``lzw.check_decoded_size``), so a huge claim fails before
+    the image is allocated, once and zeroed; each tile is then decoded
     straight to its place in it, skipping the removed rows and columns; no
     cropped image is built. A projected tile whose kept rows and kept
     columns each form one run (no removed line crosses it) is unprojected
@@ -363,7 +370,16 @@ def decompress(data, threads=1) -> np.ndarray:
     _check_threads(threads)
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header
-    out = np.zeros((hdr.original_height, hdr.original_width, hdr.channels), dtype=np.uint8)
+    for rec, payload in zip(cont.records, cont.payloads):
+        try:
+            check_decoded_size(len(payload), _stream_size(rec, hdr.channels))
+        except CodecError as exc:
+            raise _in_patch(rec, exc) from exc
+    shape = (hdr.original_height, hdr.original_width, hdr.channels)
+    try:
+        out = np.zeros(shape, dtype=np.uint8)
+    except MemoryError as exc:
+        raise StructuralError(f"no memory for a {'x'.join(map(str, shape))} image") from exc
     kept_rows = _kept_lines(cont.removed_rows, hdr.original_height)
     kept_cols = _kept_lines(cont.removed_cols, hdr.original_width)
 

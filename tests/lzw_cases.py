@@ -9,11 +9,13 @@ UBSan and with AddressSanitizer.
 
 import numpy as np
 
-from slidecodec._lzw_py import CLEAR, END, FIRST_CODE
+from slidecodec._lzw_py import CLEAR, END, FIRST_CODE, MIN_WIDTH
 from slidecodec.bitplane import to_bitplanes
 from slidecodec.errors import CodecError
 from slidecodec.synthetic import wsi_like_image
 from slidecodec.transform import project
+
+from oracles import oracle_pack
 
 
 def outcome(decode, *args):
@@ -100,21 +102,21 @@ def run_cases():
     return [(data, w) for data in inputs for w in (9, 12, 16)] + [(bytes(1 << 20), 20)]
 
 
-def clear_offsets(codes):
-    """The input offsets at which an encode trace's CLEAR codes were emitted.
+def phrases(codes):
+    """``(code, output offset, phrase length)`` of each code up to END.
 
     Replays the phrase lengths as a decoder would: a literal is one byte,
     and each data code after the first since a CLEAR defines an entry one
-    byte longer than the code before it.
+    byte longer than the code before it. A CLEAR has length 0.
     """
-    offsets, lengths, pos, prev = [], [], 0, None
+    lengths, pos, prev = [], 0, None
     for code in codes:
+        if code == END:
+            return
         if code == CLEAR:
-            offsets.append(pos)
+            yield code, pos, 0
             lengths, prev = [], None
             continue
-        if code == END:
-            break
         if code < 256:
             n = 1
         elif code - FIRST_CODE < len(lengths):
@@ -123,13 +125,58 @@ def clear_offsets(codes):
             n = prev + 1
         if prev is not None:
             lengths.append(prev + 1)
+        yield code, pos, n
         pos += n
         prev = n
-    return offsets
 
 
-def assert_identical(native, pure, cases, damaged=()):
-    """Both kernels encode, trace and decode ``cases`` and fail ``damaged`` alike."""
+def clear_offsets(codes):
+    """The input offsets at which an encode trace's CLEAR codes were emitted."""
+    return [at for code, at, _ in phrases(codes) if code == CLEAR]
+
+
+def edge_cases():
+    """``(stream, width, size)`` triples built code by code, at widths 9, 12 and 16.
+
+    Each decodes to exactly ``size`` bytes:
+
+    * a self-reference (KwK: the code the decoder is about to define) right
+      at each width step, as the last code read at one width and the first
+      read at the next, and as the dictionary's last entry;
+    * the dictionary filled, ending on KwK codes, then literals and codes up
+      to ``2**width - 1`` with no CLEAR, which define no entries;
+    * a CLEAR right after a KwK, then KwK codes again.
+    """
+    cases = []
+    for width in (9, 12, 16):
+        capacity = 1 << width
+        codes = []
+
+        def fill_to(next_code):
+            # literals until the decoder's next code is next_code
+            codes.extend(i % 251 for i in range(next_code - FIRST_CODE + 1 - len(codes)))
+
+        for step in range(MIN_WIDTH, width):
+            fill_to((1 << step) - 1)
+            codes += [(1 << step) - 1, 1 << step]
+        fill_to(capacity - 1)
+        kwk_steps = codes + [capacity - 1, END]
+        codes = []
+        fill_to(capacity - 3)
+        full = codes + [capacity - 3, capacity - 2, capacity - 1,
+                        65, capacity - 1, capacity - 2, 7, capacity - 1, END]
+        after_kwk = [65, FIRST_CODE, CLEAR, 66, FIRST_CODE, FIRST_CODE + 1, CLEAR,
+                     67, FIRST_CODE, CLEAR, 68, END]
+        for seq in (kwk_steps, full, after_kwk):
+            size = sum(n for _, _, n in phrases(seq))
+            cases.append((oracle_pack(seq, width), width, size))
+    return cases
+
+
+def assert_identical(native, pure, cases, streams=()):
+    """Both kernels encode, trace and decode ``cases``, and decode each
+    ``(stream, width, size)`` of ``streams`` to the same bytes or the same
+    error."""
     for data, width in cases:
         packed = native.encode(data, width)
         assert packed == pure.encode(data, width), (len(data), width)
@@ -137,6 +184,6 @@ def assert_identical(native, pure, cases, damaged=()):
             (len(data), width)
         assert native.decode(packed, width, len(data)) == data
         assert pure.decode(packed, width, len(data)) == data
-    for stream, width, size in damaged:
+    for stream, width, size in streams:
         assert outcome(native.decode, stream, width, size) == \
             outcome(pure.decode, stream, width, size)

@@ -100,6 +100,16 @@ def test_truncation_at_every_prefix():
         assert "offset" in str(err.value)
 
 
+def test_record_count_beyond_the_bytes_fails_before_any_record():
+    # the header's grid needs 10**10 records; the count claims 2**32 - 1 of
+    # 33 bytes each, and the whole table is asked for at once
+    blob = _huge_claim_header()[:-4] + struct.pack("<I", 2**32 - 1)
+    with deadline(1.0), pytest.raises(
+            TruncatedStreamError,
+            match=r"^container ends inside patch records \(offset 28, wanted 141733920735 bytes\)$"):
+        read_container(blob)
+
+
 def test_trailing_bytes_rejected():
     blob = write_container(*small_container())
     with pytest.raises(StructuralError, match="trailing"):

@@ -27,6 +27,8 @@ from lzw_cases import (
     assert_identical,
     clear_offsets,
     damaged_cases,
+    edge_cases,
+    outcome,
     reset_cases,
     run_cases,
     runs,
@@ -250,7 +252,37 @@ def test_backends_byte_identical():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     rng = np.random.default_rng(36)
     # damaged streams and wrong sizes fail alike: same class, same message
-    assert_identical(_lzw_native, _lzw_py, short_cases(rng), damaged_cases(rng))
+    assert_identical(_lzw_native, _lzw_py, short_cases(rng), damaged_cases(rng) + edge_cases())
+
+
+def test_edge_cases_decode_to_their_size(kernel):
+    for stream, width, size in edge_cases():
+        assert len(kernel.decode(stream, width, size)) == size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_backends_agree_on_mutated_streams(draw):
+    # a stream with 1-3 bytes changed, cut short or run on, decoded to its
+    # true length, one byte either side of it, or any length
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    alphabet = draw.draw(st.sampled_from([2, 8, 256]))
+    data = bytes(b % alphabet for b in draw.draw(st.binary(max_size=3000)))
+    width = draw.draw(st.sampled_from([9, 12, 16]))
+    stream = bytearray(_lzw_py.encode(data, width))
+    mutation = draw.draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if mutation == "flip":
+        for _ in range(draw.draw(st.integers(1, 3))):
+            stream[draw.draw(st.integers(0, len(stream) - 1))] ^= draw.draw(st.integers(1, 255))
+    elif mutation == "truncate":
+        del stream[draw.draw(st.integers(0, len(stream) - 1)):]
+    else:
+        stream += draw.draw(st.binary(min_size=1, max_size=16))
+    size = draw.draw(st.one_of(st.sampled_from([len(data), len(data) + 1, max(len(data) - 1, 0)]),
+                               st.integers(0, 2 * len(data) + 16)))
+    stream = bytes(stream)
+    assert outcome(_lzw_native.decode, stream, width, size) == \
+        outcome(_lzw_py.decode, stream, width, size)
 
 
 def test_backends_byte_identical_across_resets():
@@ -308,10 +340,11 @@ def _identity_under(tmp_path, sanitize, **env_extra):
     script = (
         "import numpy as np\n"
         "from slidecodec import _lzw_native, _lzw_py\n"
-        "from lzw_cases import assert_identical, damaged_cases, reset_cases, run_cases, short_cases\n"
+        "from lzw_cases import (assert_identical, damaged_cases, edge_cases, reset_cases,\n"
+        "                       run_cases, short_cases)\n"
         "rng = np.random.default_rng(36)\n"
         "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases() + run_cases(),\n"
-        "                 damaged_cases(rng))\n"
+        "                 damaged_cases(rng) + edge_cases())\n"
         "from stage_cases import check_stages\n"
         "check_stages(_lzw_native, np.random.default_rng(37), 25)\n"
     )

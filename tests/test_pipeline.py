@@ -19,7 +19,12 @@ from slidecodec.container import (
     read_container,
     write_container,
 )
-from slidecodec.errors import CodecError, StructuralError, UnsupportedLayoutError
+from slidecodec.errors import (
+    CodecError,
+    StructuralError,
+    TruncatedStreamError,
+    UnsupportedLayoutError,
+)
 from slidecodec.lzw import lzw_encode
 from slidecodec import pipeline
 from slidecodec.pipeline import (
@@ -449,6 +454,39 @@ def test_runaway_tile_stops_at_record_size(width, side):
     # the input copy, the output image and, on the pure kernel, the decoded
     # bytes and its phrase table; none is sized by what the payload decodes to
     assert peak < 2 * len(blob) + 5 * raw_len, peak
+
+
+@pytest.mark.parametrize("side", [20_000, 100_000])
+def test_huge_claim_rejected_before_the_image_is_allocated(side, monkeypatch):
+    # 67 bytes: a side x side x 3 image at patch size side, one LZW-only
+    # record, and a 6-byte payload, which decodes to at most 10 bytes. The
+    # image allocation must not be reached: at 100000 it fails (27.9 GiB),
+    # and at 20000 a lazy allocation would hide the claim until decoding.
+    payload = lzw_encode(b"ABABAB")
+    header = ContainerHeader(side, side, 3, side)
+    rec = PatchRecord(0, 0, side, side, side * side * 3, len(payload), STAGE_LZW)
+    blob = write_container(header, (), (), (rec,), (payload,))
+    assert len(blob) == 67
+
+    def no_image(*args, **kwargs):
+        raise AssertionError("the image was allocated")
+
+    monkeypatch.setattr(pipeline.np, "zeros", no_image)
+    with pytest.raises(TruncatedStreamError, match=(
+            r"^patch at row 0, col 0: a 6-byte stream decodes to at most 10 bytes, "
+            rf"not {side * side * 3}$")):
+        decompress(blob)
+
+
+def test_failed_image_allocation_is_a_codec_error(monkeypatch):
+    blob = compress(np.ones((4, 5, 3), dtype=np.uint8))
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(pipeline.np, "zeros", no_memory)
+    with pytest.raises(StructuralError, match="^no memory for a 4x5x3 image$"):
+        decompress(blob)
 
 
 def with_gaps(dense, row_gaps, col_gaps):
