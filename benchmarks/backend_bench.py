@@ -8,8 +8,12 @@ repetitive extremes.
 
 Pixel stages: the native projection and bit-plane kernels must give the same
 output as their numpy references on a slide-like 256x256x3 tile and a
-corpus-like 64x64x3 tile (each a strided view, as the codec passes them);
-then each kernel's throughput in MB/s of pixels is reported for both.
+corpus-like 64x64x3 tile; then each kernel's throughput in MB/s of pixels is
+reported for both. Each array argument is timed in two layouts: with packed
+rows, as the codec passes it (projection reads a view of the image, the
+other stages whole arrays), and channel-reversed (``a[..., ::-1]``, as a
+BGR-to-RGB view gives), which the native wrapper copies before the kernel
+runs, so the cost of that copy is reported too.
 
 Usage: python benchmarks/backend_bench.py [--size BYTES] [--repeats N]
 """
@@ -132,23 +136,28 @@ def bench_stages(size: int, repeats: int, seed: int) -> int:
     for tile_name, tile in stage_tiles(seed).items():
         calls = max(1, size // tile.nbytes)
         for stage, reference, kernel, make_args in stage_kernels():
-            args = make_args(tile)
-            # bytes from the bit-plane stage, arrays from the others
-            if not np.array_equal(np.asarray(memoryview(reference(*args))),
-                                  np.asarray(memoryview(kernel(*args)))):
-                print(f"error: native {stage} differs from numpy on {tile_name!r}",
-                      file=sys.stderr)
-                return 1
-            speeds = []
-            for fn in (reference, kernel):
-                seconds = _best_time(lambda: [fn(*args) for _ in range(calls)],
-                                     repeats=repeats) / calls
-                speeds.append(tile.nbytes / seconds / 1e6)
-            rows.append((stage, tile_name, *speeds))
+            packed = make_args(tile)
+            layouts = [("packed rows", packed)]
+            if isinstance(packed[0], np.ndarray):
+                layouts.append(("channels reversed", (packed[0][..., ::-1], *packed[1:])))
+            for layout, args in layouts:
+                # bytes from the bit-plane stage, arrays from the others
+                if not np.array_equal(np.asarray(memoryview(reference(*args))),
+                                      np.asarray(memoryview(kernel(*args)))):
+                    print(f"error: native {stage} differs from numpy on {tile_name!r}, "
+                          f"{layout}", file=sys.stderr)
+                    return 1
+                speeds = []
+                for fn in (reference, kernel):
+                    seconds = _best_time(lambda: [fn(*args) for _ in range(calls)],
+                                         repeats=repeats) / calls
+                    speeds.append(tile.nbytes / seconds / 1e6)
+                rows.append((stage, tile_name, layout, *speeds))
 
-    print(f"{'stage':15} {'tile':20} {'numpy MB/s':>11} {'native MB/s':>12} {'speedup':>8}")
-    for stage, tile_name, numpy_speed, native_speed in rows:
-        print(f"{stage:15} {tile_name:20} {numpy_speed:11.1f} {native_speed:12.1f} "
+    print(f"{'stage':15} {'tile':20} {'layout':18} {'numpy MB/s':>11} {'native MB/s':>12} "
+          f"{'speedup':>8}")
+    for stage, tile_name, layout, numpy_speed, native_speed in rows:
+        print(f"{stage:15} {tile_name:20} {layout:18} {numpy_speed:11.1f} {native_speed:12.1f} "
               f"{native_speed / numpy_speed:7.1f}x")
     return 0
 

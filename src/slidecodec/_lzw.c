@@ -423,37 +423,15 @@ done:
    (project, unproject) and slidecodec/bitplane.py (to_bitplanes,
    from_bitplanes), which states the arithmetic.
 
-   An (h, w, c) uint8 array is addressed as base + m*s0 + n*s1 + k*s2, with
-   strides in bytes that may be negative. Its row m is packed when the row's
-   w*c bytes are contiguous in pixel-major order. The inner loops only ever
-   see packed rows: a row that is not packed is first gathered into a packed
-   scratch row (or, for an output, computed there and scattered). Arrays
-   made by the codec have packed rows, so its tiles are read and written in
-   place; only to_bitplanes packs a tile first, when its rows do not follow
-   each other in memory (a view of the image, with projection off). The
-   caller checks shapes, channel counts and buffer sizes; these functions
-   return LZW_OK, or LZW_NOMEM when a scratch buffer cannot be allocated. */
-
-static int packed_row(size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2)
-{
-    return (c == 1 || s2 == 1) && (w == 1 || s1 == (ptrdiff_t)c);
-}
-
-static void gather_row(const uint8_t *p, size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2,
-                       uint8_t *row)
-{
-    for (size_t n = 0; n < w; n++)
-        for (size_t k = 0; k < c; k++)
-            *row++ = p[(ptrdiff_t)n * s1 + (ptrdiff_t)k * s2];
-}
-
-static void scatter_row(const uint8_t *row, size_t w, size_t c, ptrdiff_t s1, ptrdiff_t s2,
-                        uint8_t *p)
-{
-    for (size_t n = 0; n < w; n++)
-        for (size_t k = 0; k < c; k++)
-            p[(ptrdiff_t)n * s1 + (ptrdiff_t)k * s2] = *row++;
-}
+   Every (h, w, c) uint8 array here has packed rows: each row's w*c bytes
+   follow each other in pixel-major order. px_project reads its input's
+   rows s0 bytes apart and px_unproject writes its output's rows y0 bytes
+   apart (either may be negative), so the codec's tiles, views of the
+   image, are read and written in place; every other array is contiguous.
+   The wrapper in _lzw_native.py copies any other layout once, and never
+   passes output rows that overlap each other. The caller checks shapes,
+   channel counts and buffer sizes; these functions return LZW_OK, or
+   LZW_NOMEM when a scratch buffer cannot be allocated. */
 
 /* protobuf's ZigZag in 8 bits: (s << 1) ^ (s >> 7) on the int8 s, and back */
 static inline uint8_t zigzag8(unsigned v) { return (uint8_t)((v << 1) ^ (0u - ((v >> 7) & 1))); }
@@ -536,26 +514,18 @@ static void project_row(const uint8_t *restrict cur, const uint8_t *restrict pre
             z[j] = zigzag_tied(e + j, j % 3);
 }
 
-/* z (packed, h*w*c bytes) = project(x); c is 1 or 3. */
-int px_project(const uint8_t *x, size_t h, size_t w, size_t c,
-               ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t s2, uint8_t *z)
+/* z (contiguous) = project(x), x's rows s0 bytes apart; c is 1 or 3. */
+int px_project(const uint8_t *x, size_t h, size_t w, size_t c, ptrdiff_t s0, uint8_t *z)
 {
     const size_t len = w * c;
-    const int packed = packed_row(w, c, s1, s2);
-    /* a zero row, a difference row, and two gather rows unless rows are packed */
-    uint8_t *scratch = calloc(len * (packed ? 2 : 4) + 1, 1);
+    /* a zero row and a difference row */
+    uint8_t *scratch = calloc(len * 2 + 1, 1);
     if (!scratch)
         return LZW_NOMEM;
-    uint8_t *e = scratch + len, *rows = e + len;
     const uint8_t *prev = scratch;
     for (size_t m = 0; m < h && len; m++) {
         const uint8_t *cur = x + (ptrdiff_t)m * s0;
-        if (!packed) {
-            uint8_t *row = rows + len * (m & 1);
-            gather_row(cur, w, c, s1, s2, row);
-            cur = row;
-        }
-        project_row(cur, prev, e, z + m * len, len, c);
+        project_row(cur, prev, scratch + len, z + m * len, len, c);
         prev = cur;
     }
     free(scratch);
@@ -624,32 +594,19 @@ static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict pre
             y[j] = (uint8_t)(prev[j] + t[j]);
 }
 
-/* y = unproject(r), both (h, w, c) with their own strides and not
-   overlapping; c is 1 or 3. */
-int px_unproject(const uint8_t *r, size_t h, size_t w, size_t c,
-                 ptrdiff_t r0, ptrdiff_t r1, ptrdiff_t r2,
-                 uint8_t *y, ptrdiff_t y0, ptrdiff_t y1, ptrdiff_t y2)
+/* y = unproject(r), r contiguous and y's rows y0 bytes apart, |y0| >= w*c
+   unless h is 1, not overlapping r; c is 1 or 3. */
+int px_unproject(const uint8_t *r, size_t h, size_t w, size_t c, uint8_t *y, ptrdiff_t y0)
 {
     const size_t len = w * c;
-    const int r_packed = packed_row(w, c, r1, r2), y_packed = packed_row(w, c, y1, y2);
-    /* a zero row, a sum row, a gather row unless r is packed, and two
-       output rows unless y is */
-    uint8_t *scratch = calloc(len * (2 + !r_packed + 2 * !y_packed) + 1, 1);
+    /* a zero row and a sum row */
+    uint8_t *scratch = calloc(len * 2 + 1, 1);
     if (!scratch)
         return LZW_NOMEM;
-    uint8_t *t = scratch + len, *gathered = t + len, *rows = gathered + (r_packed ? 0 : len);
     const uint8_t *prev = scratch;
     for (size_t m = 0; m < h && len; m++) {
-        const uint8_t *in = r + (ptrdiff_t)m * r0;
-        uint8_t *out = y + (ptrdiff_t)m * y0;
-        if (!r_packed) {
-            gather_row(in, w, c, r1, r2, gathered);
-            in = gathered;
-        }
-        uint8_t *row = y_packed ? out : rows + len * (m & 1);
-        unproject_row(in, prev, t, row, len, c);
-        if (!y_packed)
-            scatter_row(row, w, c, y1, y2, out);
+        uint8_t *row = y + (ptrdiff_t)m * y0;
+        unproject_row(r + m * len, prev, scratch + len, row, len, c);
         prev = row;
     }
     free(scratch);
@@ -732,42 +689,22 @@ static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
         to_planes(p, n, c, planes, plane_len, g0);
 }
 
-/* planes = to_bitplanes(x): c * 8 * ceil(h*w / 8) bytes, any c. */
-int px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c,
-                    ptrdiff_t s0, ptrdiff_t s1, ptrdiff_t s2, uint8_t *planes)
+/* planes = to_bitplanes(x), x contiguous: c * 8 * ceil(h*w / 8) bytes, any c. */
+int px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *planes)
 {
-    const size_t len = w * c, npix = h * w, plane_len = (npix + 7) / 8;
-    if (!len || !h)
+    const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
+    if (!npix || !c)
         return LZW_OK;
-    const int packed = packed_row(w, c, s1, s2);
-    if (packed && (h == 1 || s0 == (ptrdiff_t)len)) {
-        /* the pixels run on across rows: read them in place */
-        const size_t groups = npix / 8;
-        to_planes_c(x, groups, c, planes, plane_len, 0);
-        if (npix % 8) {
-            /* the last group, zero-padded */
-            uint8_t *tail = calloc(8 * c, 1);
-            if (!tail)
-                return LZW_NOMEM;
-            memcpy(tail, x + 8 * groups * c, (npix % 8) * c);
-            to_planes_c(tail, 1, c, planes, plane_len, groups);
-            free(tail);
-        }
-        return LZW_OK;
+    to_planes_c(x, groups, c, planes, plane_len, 0);
+    if (npix % 8) {
+        /* the last group, zero-padded */
+        uint8_t *tail = calloc(8 * c, 1);
+        if (!tail)
+            return LZW_NOMEM;
+        memcpy(tail, x + 8 * groups * c, (npix % 8) * c);
+        to_planes_c(tail, 1, c, planes, plane_len, groups);
+        free(tail);
     }
-    /* otherwise pack the whole array first, zero-padded to whole groups */
-    uint8_t *flat = calloc(8 * plane_len * c, 1);
-    if (!flat)
-        return LZW_NOMEM;
-    for (size_t m = 0; m < h; m++) {
-        const uint8_t *row = x + (ptrdiff_t)m * s0;
-        if (packed)
-            memcpy(flat + m * len, row, len);
-        else
-            gather_row(row, w, c, s1, s2, flat + m * len);
-    }
-    to_planes_c(flat, plane_len, c, planes, plane_len, 0);
-    free(flat);
     return LZW_OK;
 }
 

@@ -14,9 +14,8 @@ When the cache has no such library, the import compiles it once with ``cc``
 so concurrent interpreters never load a half-written file; it then deletes
 all but the ``KEEP_LIBRARIES`` most recently built libraries, so checkouts
 with different sources or compilers can share the cache without rebuilding
-on every switch. Any
-failure to build or load raises ImportError, and ``slidecodec.lzw`` falls
-back to the pure-Python kernels.
+on every switch. Any failure to build or load raises ImportError, and
+``slidecodec.lzw`` falls back to the pure-Python kernels.
 """
 
 import ctypes
@@ -118,11 +117,10 @@ def _load() -> ctypes.CDLL:
     lib.lzw_free.restype = None
     size, stride, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p
     shape = [size, size, size]
-    strides = [stride, stride, stride]
     for fn, argtypes in (
-        (lib.px_project, [ptr, *shape, *strides, ptr]),
-        (lib.px_unproject, [ptr, *shape, *strides, ptr, *strides]),
-        (lib.px_to_bitplanes, [ptr, *shape, *strides, ptr]),
+        (lib.px_project, [ptr, *shape, stride, ptr]),
+        (lib.px_unproject, [ptr, *shape, ptr, stride]),
+        (lib.px_to_bitplanes, [ptr, *shape, ptr]),
         (lib.px_from_bitplanes, [ptr, *shape, ptr]),
     ):
         fn.argtypes = argtypes
@@ -199,28 +197,54 @@ def decode(data, max_width: int, size: int) -> memoryview:
 
 # Pixel stages. The callers in transform.py and bitplane.py validate dtype,
 # shape, channel count, stream length and that ``out`` is writeable before
-# any pointer is passed.
+# any pointer is passed. The kernels read and write (h, w, c) arrays whose
+# rows are packed (each row's w*c bytes in order; tiles of an image are) at
+# any row stride; any other layout goes through one ``_copy``.
+
+
+def _packed(a: np.ndarray) -> bool:
+    """Whether each row of the (h, w, c) array ``a`` is its w*c bytes in order."""
+    return a.strides[2] == 1 and a.strides[1] == a.shape[2]
+
+
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A new contiguous array with ``a``'s bytes, for a layout the kernels do
+    not take; the codec's own tiles never need one."""
+    return np.array(a, order="C")
+
+
+def _contiguous(a: np.ndarray) -> np.ndarray:
+    return a if a.flags.c_contiguous else _copy(a)
 
 
 def project(x: np.ndarray) -> np.ndarray:
     """``transform.project`` of an (h, w, c) uint8 array, c 1 or 3, any strides."""
+    if not _packed(x):
+        x = _copy(x)
     z = np.empty(x.shape, dtype=np.uint8)
-    _check(_lib.px_project(x.ctypes.data, *x.shape, *x.strides, z.ctypes.data))
+    _check(_lib.px_project(x.ctypes.data, *x.shape, x.strides[0], z.ctypes.data))
     return z
 
 
 def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``transform.unproject`` of ``r`` into ``out``, same shape, no shared memory."""
-    _check(_lib.px_unproject(r.ctypes.data, *r.shape, *r.strides,
-                             out.ctypes.data, *out.strides))
+    r = _contiguous(r)
+    h, w, c = r.shape
+    # rows that overlap each other are not packed for writing; a copy's
+    # bytes are all overwritten, then assigned to out
+    y = out if _packed(out) and (abs(out.strides[0]) >= w * c or h == 1) else _copy(out)
+    _check(_lib.px_unproject(r.ctypes.data, h, w, c, y.ctypes.data, y.strides[0]))
+    if y is not out:
+        out[...] = y
     return out
 
 
 def to_bitplanes(r: np.ndarray) -> bytes:
     """``bitplane.to_bitplanes`` of an (h, w, c) uint8 array, any strides."""
+    r = _contiguous(r)
     h, w, c = r.shape
     planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
-    _check(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, *r.strides, planes.ctypes.data))
+    _check(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, planes.ctypes.data))
     return planes.tobytes()
 
 

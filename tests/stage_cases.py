@@ -5,7 +5,11 @@ Each ``check_*`` function runs one or two of the native pixel-stage kernels
 ``_lzw_native`` module) on one input and asserts the output of the numpy
 reference in ``transform`` or ``bitplane``. ``unproject`` also writes into
 views of a larger array, whose bytes outside the view must stay as they
-were. ``tests/test_native_stages.py`` drives these checks with Hypothesis;
+were. ``project``'s input and ``unproject``'s output reach the kernels in
+place when their rows are packed (contiguous, or rows reversed, which gives
+a negative row stride); every other layout, and any non-contiguous input to
+``unproject`` or ``to_bitplanes``, goes through the wrapper's one copy.
+``tests/test_native_stages.py`` drives these checks with Hypothesis;
 :func:`check_stages` runs a seeded batch of them, which ``tests/test_lzw.py``
 runs on kernels built with UBSan and with AddressSanitizer.
 """

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
-from slidecodec import lzw
-from slidecodec.transform import unproject
+from slidecodec import bitplane, lzw, transform
+from slidecodec.pipeline import CompressionConfig, compress, decompress
+from slidecodec.transform import _unproject_numpy, unproject
 
 from stage_cases import LAYOUTS, array, check_bitplanes, check_project, check_unproject
 
@@ -70,3 +72,45 @@ def test_unproject_out_is_checked():
     wide = np.zeros((5, 7, 3), np.uint8)
     wide[:, 1:] = r
     assert np.array_equal(unproject(wide[:, 1:], out=wide[:, :6]), expect)
+
+
+def test_unproject_into_rows_that_overlap(native):
+    # writeable views that pass every check in transform.unproject, with row
+    # strides shorter than a row: the result is numpy's assignment of the
+    # patch into the same view
+    rng = np.random.default_rng(41)
+    r = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
+    for strides in ((6, 3, 1), (0, 3, 1), (3, 3, 1)):
+        canvas = rng.integers(0, 256, 60, dtype=np.uint8)
+        want = canvas.copy()
+        as_strided(want, r.shape, strides)[...] = _unproject_numpy(r)
+        got = canvas.copy()
+        view = as_strided(got, r.shape, strides)
+        assert native.unproject(r, view) is view
+        assert np.array_equal(got, want), strides
+
+
+def test_codec_tiles_are_never_copied(native, monkeypatch):
+    # margin rows cropped off (tiles are views of the input), then margin
+    # columns and an interior row too (tiles are views of the gathered
+    # copy), tiles cut short at the right and bottom edges, tiles decoded in
+    # place and beside a removed row: every array reaches the kernels as it is
+    copied = []
+    copy = native._copy
+    monkeypatch.setattr(native, "_copy", lambda a: copied.append(a.shape) or copy(a))
+    monkeypatch.setattr(transform, "native", native)
+    monkeypatch.setattr(bitplane, "native", native)
+    rng = np.random.default_rng(42)
+    for c in (1, 3):
+        for cols, gap in ((slice(0, 61), []), (slice(2, 59), [30])):
+            image = np.zeros((70, 61, c), dtype=np.uint8)
+            image[3:66, cols] = rng.integers(1, 256, (63, cols.stop - cols.start, c),
+                                             dtype=np.uint8)
+            image[gap] = 0
+            for threads in (1, 2):
+                data = compress(image, CompressionConfig(patch_size=16), threads)
+                assert np.array_equal(decompress(data, threads), image)
+    assert copied == []
+    # the spy sees the copy a channel-reversed tile needs
+    transform.project(image[..., ::-1])
+    assert copied == [image.shape]

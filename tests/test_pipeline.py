@@ -184,10 +184,14 @@ def test_compress_of_view_equals_compress_of_copy(config):
     rng = np.random.default_rng(64)
     base = sparse_image(rng, 75, 91, 3)
     base[10:60, 20:70] = rng.integers(0, 256, (50, 50, 3), dtype=np.uint8)
-    for view in (base[::-1], base[:, ::-1], base[1::2, ::3], base[3:70, 5:88]):
+    views = (base[::-1], base[:, ::-1], base[1::2, ::3], base[3:70, 5:88],
+             base[..., ::-1], np.asfortranarray(base))
+    for view in views:
         copy = np.ascontiguousarray(view)
         for threads in (1, 2):
-            assert compress(view, config, threads) == compress(copy, config, threads)
+            data = compress(view, config, threads)
+            assert data == compress(copy, config, threads)
+            assert np.array_equal(decompress(data, threads), view)
 
 
 def test_strip_alpha():
