@@ -7,9 +7,11 @@ each and the native speedup. Workloads cover the codec's real input
 repetitive extremes.
 
 Pixel stages: the native projection and bit-plane kernels must give the same
-output as their numpy references on a slide-like 256x256x3 tile and a
-corpus-like 64x64x3 tile; then each kernel's throughput in MB/s of pixels is
-reported for both. Each array argument is timed in two layouts: with packed
+output as their numpy references on a slide-like 256x256x3 tile, a
+corpus-like 64x64x3 tile and a 61x61x3 edge tile, whose pixel count is not a
+multiple of 8, so the bit-plane kernels' last, partial group of 8 pixels is
+timed too; then each kernel's throughput in MB/s of pixels is reported for
+each. Each array argument is timed in two layouts: with packed
 rows, as the codec passes it (projection reads a view of the image, the
 other stages whole arrays), and channel-reversed (``a[..., ::-1]``, as a
 BGR-to-RGB view gives), which the native wrapper copies before the kernel
@@ -100,12 +102,13 @@ def bench(size: int, repeats: int, max_width: int, seed: int) -> int:
 
 
 def stage_tiles(seed: int) -> dict:
-    """Tile views as the codec cuts them: 256x256 of a 1024-wide slide (slide-2k)
-    and 64x64 of a 256x256 image (corpus-64)."""
+    """Tile views as the codec cuts them: 256x256 of a 1024-wide slide (slide-2k),
+    64x64 of a 256x256 image (corpus-64), and a 61x61 edge tile of that image."""
     slide = np.tile(wsi_like_image(np.random.SeedSequence([seed, 0])), (4, 4, 1))
     image = wsi_like_image(np.random.SeedSequence([seed, 2]))
     return {"slide tile 256^2x3": slide[256:512, 512:768],
-            "corpus tile 64^2x3": image[64:128, 128:192]}
+            "corpus tile 64^2x3": image[64:128, 128:192],
+            "edge tile 61^2x3": image[192:253, 192:253]}
 
 
 def stage_kernels():

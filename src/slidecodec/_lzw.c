@@ -15,7 +15,7 @@
    decoder writes into the caller's buffer of the expected size and stops as
    soon as the stream disagrees with it. The LZW entry points return one of
    the LZW_* status codes and fill an lzw_result; the pixel stages write
-   into the caller's arrays and return LZW_OK or LZW_NOMEM.
+   into the caller's arrays, and only the projection ones can fail.
 
    The encoder keeps its dictionary in two structures. Runs of one byte,
    the bulk of bit-plane streams, live on a run ladder per byte value: the
@@ -430,8 +430,8 @@ done:
    image, are read and written in place; every other array is contiguous.
    The wrapper in _lzw_native.py copies any other layout once, and never
    passes output rows that overlap each other. The caller checks shapes,
-   channel counts and buffer sizes; these functions return LZW_OK, or
-   LZW_NOMEM when a scratch buffer cannot be allocated. */
+   channel counts and buffer sizes. The projection kernels return LZW_OK,
+   or LZW_NOMEM without scratch rows; the bit-plane kernels return nothing. */
 
 /* protobuf's ZigZag in 8 bits: (s << 1) ^ (s >> 7) on the int8 s, and back */
 static inline uint8_t zigzag8(unsigned v) { return (uint8_t)((v << 1) ^ (0u - ((v >> 7) & 1))); }
@@ -690,22 +690,20 @@ static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
 }
 
 /* planes = to_bitplanes(x), x contiguous: c * 8 * ceil(h*w / 8) bytes, any c. */
-int px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *planes)
+void px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *planes)
 {
     const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
     if (!npix || !c)
-        return LZW_OK;
+        return;
     to_planes_c(x, groups, c, planes, plane_len, 0);
-    if (npix % 8) {
-        /* the last group, zero-padded */
-        uint8_t *tail = calloc(8 * c, 1);
-        if (!tail)
-            return LZW_NOMEM;
-        memcpy(tail, x + 8 * groups * c, (npix % 8) * c);
-        to_planes_c(tail, 1, c, planes, plane_len, groups);
-        free(tail);
+    /* the last group, zero-padded: its pixels gathered into one word per channel */
+    x += 8 * groups * c;
+    for (size_t k = 0; k < c && npix % 8; k++) {
+        uint64_t v = 0;
+        for (size_t i = 0; i < npix % 8; i++)
+            v |= (uint64_t)x[i * c + k] << (56 - 8 * i);
+        scatter8(transpose8(v), planes + 8 * k * plane_len + groups, plane_len);
     }
-    return LZW_OK;
 }
 
 /* Pixels of groups g0 .. g0 + n - 1, packed into p; the inverse of
@@ -731,19 +729,17 @@ static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
 }
 
 /* y (packed, h*w*c bytes) = from_bitplanes(planes); pad bits are ignored. */
-int px_from_bitplanes(const uint8_t *planes, size_t h, size_t w, size_t c, uint8_t *y)
+void px_from_bitplanes(const uint8_t *planes, size_t h, size_t w, size_t c, uint8_t *y)
 {
     const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
     if (!npix || !c)
-        return LZW_OK;
+        return;
     from_planes_c(planes, groups, c, y, plane_len, 0);
-    if (npix % 8) {
-        uint8_t *tail = malloc(8 * c);
-        if (!tail)
-            return LZW_NOMEM;
-        from_planes_c(planes, 1, c, tail, plane_len, groups);
-        memcpy(y + 8 * groups * c, tail, (npix % 8) * c);
-        free(tail);
+    /* the last group: one word per channel, scattered to the pixels present */
+    y += 8 * groups * c;
+    for (size_t k = 0; k < c && npix % 8; k++) {
+        uint64_t v = transpose8(gather8(planes + 8 * k * plane_len + groups, plane_len));
+        for (size_t i = 0; i < npix % 8; i++)
+            y[i * c + k] = (uint8_t)(v >> (56 - 8 * i));
     }
-    return LZW_OK;
 }

@@ -33,7 +33,7 @@ SOURCE = Path(__file__).with_name("_lzw.c")
 CFLAGS = ["-O2", "-shared", "-fPIC"]
 KEEP_LIBRARIES = 4  # cached builds kept, newest by modification time
 
-# Status codes returned by every kernel entry point (see _lzw.c).
+# Status codes returned by the LZW and projection kernels (see _lzw.c).
 _OK, _TRUNCATED, _CORRUPT, _NOMEM, _LENGTH = range(5)
 
 
@@ -117,14 +117,14 @@ def _load() -> ctypes.CDLL:
     lib.lzw_free.restype = None
     size, stride, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p
     shape = [size, size, size]
-    for fn, argtypes in (
-        (lib.px_project, [ptr, *shape, stride, ptr]),
-        (lib.px_unproject, [ptr, *shape, ptr, stride]),
-        (lib.px_to_bitplanes, [ptr, *shape, ptr]),
-        (lib.px_from_bitplanes, [ptr, *shape, ptr]),
+    for fn, argtypes, restype in (
+        (lib.px_project, [ptr, *shape, stride, ptr], ctypes.c_int),
+        (lib.px_unproject, [ptr, *shape, ptr, stride], ctypes.c_int),
+        (lib.px_to_bitplanes, [ptr, *shape, ptr], None),
+        (lib.px_from_bitplanes, [ptr, *shape, ptr], None),
     ):
         fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
+        fn.restype = restype
     return lib
 
 
@@ -244,7 +244,7 @@ def to_bitplanes(r: np.ndarray) -> bytes:
     r = _contiguous(r)
     h, w, c = r.shape
     planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
-    _check(_lib.px_to_bitplanes(r.ctypes.data, h, w, c, planes.ctypes.data))
+    _lib.px_to_bitplanes(r.ctypes.data, h, w, c, planes.ctypes.data)
     return planes.tobytes()
 
 
@@ -252,5 +252,5 @@ def from_bitplanes(stream, height: int, width: int, channels: int) -> np.ndarray
     """``bitplane.from_bitplanes`` of a stream of the exact length for the shape,
     bytes or a flat byte memoryview, read in place."""
     out = np.empty((height, width, channels), dtype=np.uint8)
-    _check(_lib.px_from_bitplanes(_address(stream), height, width, channels, out.ctypes.data))
+    _lib.px_from_bitplanes(_address(stream), height, width, channels, out.ctypes.data)
     return out

@@ -188,6 +188,8 @@ def _put_index_list(out, indices):
 
 def write_container(header, removed_rows, removed_cols, records, payloads) -> bytes:
     """Serialize a container; identical inputs always yield identical bytes."""
+    if header.version != VERSION:
+        raise StructuralError(f"this writer emits version {VERSION}, not {header.version}")
     cont = Container(header, tuple(removed_rows), tuple(removed_cols),
                      tuple(records), tuple(payloads))
 

@@ -13,7 +13,7 @@ threads and works beside them, each pulling the next tile index, one at a
 time, until none is left. Results are committed in row-major tile order, so
 output bytes do not depend on the thread count, and the error raised is that
 of the first failing tile in tile order, the one a single thread would
-raise. With one thread or one tile everything runs inline on the caller.
+raise. With one thread or one tile the caller runs every tile alone.
 
 Each stage of a tile is one call, looked up as a module global when it is
 made (so a tracer can wrap it from outside). With the native backend (see
@@ -68,8 +68,8 @@ class CompressionConfig:
     lzw_max_width: int = DEFAULT_MAX_WIDTH
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be positive, got {self.patch_size}")
+        if not 1 <= self.patch_size <= 2**32 - 1:  # a u32 in the container
+            raise ValueError(f"patch_size {self.patch_size} outside [1, 2**32 - 1]")
         if not 9 <= self.lzw_max_width <= 20:
             raise ValueError(f"lzw_max_width {self.lzw_max_width} outside [9, 20]")
 
@@ -78,8 +78,8 @@ class CompressionConfig:
 class CropResult:
     """The live part of an image and the all-zero lines cut from it.
 
-    ``cropped`` may be a view of the input image (when the live rows form
-    one block and no column is empty), so writing to it writes to the input.
+    ``cropped`` is a view of the input image when each axis's live lines
+    form one block, so writing to it writes to the input.
     """
 
     cropped: np.ndarray
@@ -107,22 +107,22 @@ def _check_image(image, channels=(1, 3, 4)):
 def crop_empty(image) -> CropResult:
     """Drop rows and columns that are entirely zero across all channels.
 
-    Rows are sliced when the live ones form one block and columns are
-    gathered only when one is empty, so ``cropped`` is a view of ``image``
-    when nothing needs gathering, and a copy otherwise.
+    Each axis is sliced when its live lines form one block and gathered with
+    ``take`` otherwise: ``cropped`` is a view of ``image`` unless an empty
+    line lies inside the live block.
     """
     image = _check_image(image)
     h, w, _ = image.shape
     # max(...) != 0 gives the same masks as any(...) several times faster.
     row_live = image.reshape(h, -1).max(axis=1) != 0
     col_live = image.max(axis=0).max(axis=1) != 0
-    rows = np.flatnonzero(row_live)
-    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
-        cropped = image[rows[0] : rows[-1] + 1]
-    else:
-        cropped = image[row_live]
-    if not col_live.all():
-        cropped = cropped.take(np.flatnonzero(col_live), axis=1)
+    cropped = image
+    for axis, live in enumerate((row_live, col_live)):
+        kept = np.flatnonzero(live)
+        if len(kept) and kept[-1] - kept[0] == len(kept) - 1:
+            cropped = cropped[(slice(None),) * axis + (slice(kept[0], kept[-1] + 1),)]
+        else:
+            cropped = cropped.take(kept, axis=axis)
     return CropResult(
         cropped=cropped,
         removed_rows=tuple(np.flatnonzero(~row_live).tolist()),
@@ -278,41 +278,39 @@ def _check_threads(threads):
 def _run(jobs, worker, threads):
     """``[worker(j) for j in jobs]`` on up to ``threads`` threads, caller included.
 
-    The caller starts ``min(threads, len(jobs)) - 1`` helpers; then it and
-    they pull job indices one at a time from one shared iterator (its
-    ``next`` is a single C call, so no index is handed out twice) and store
-    each result at its index. A thread that has run a job stops pulling once
-    any job has failed. Every job is run to the end by whoever pulled it and
-    indices are pulled in order, so every job before the lowest failing
-    index has run and succeeded: that failure, the one raised, is the one
-    the inline loop would raise.
+    The caller starts ``min(threads, len(jobs)) - 1`` helpers, possibly
+    none; then it and they pull job indices one at a time from one shared
+    iterator (its ``next`` is a single C call, so no index is handed out
+    twice) and store each result at its index. A thread that has run a job
+    stops pulling once any job has failed. Every job is run to the end by
+    whoever pulled it and indices are pulled in order, so every job before
+    the lowest failing index has run and succeeded: that failure, the one
+    raised, is the one a single thread would raise.
     """
-    if threads > 1 and len(jobs) > 1:
-        results = [None] * len(jobs)
-        failures = []
-        indices = iter(range(len(jobs)))
+    results = [None] * len(jobs)
+    failures = []
+    indices = iter(range(len(jobs)))
 
-        def work():
-            for i in indices:
-                try:
-                    results[i] = worker(jobs[i])
-                except BaseException as exc:
-                    failures.append((i, exc))
-                if failures:
-                    return
+    def work():
+        for i in indices:
+            try:
+                results[i] = worker(jobs[i])
+            except BaseException as exc:
+                failures.append((i, exc))
+            if failures:
+                return
 
-        helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
         for helper in helpers:
-            helper.start()
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.join()
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return results
-    return [worker(j) for j in jobs]
+            helper.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 def compress(image, config=None, threads=1) -> bytes:

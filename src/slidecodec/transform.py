@@ -87,7 +87,10 @@ def unproject(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
             r = r.copy()
     if native:
         return native.unproject(r, np.empty(r.shape, dtype=np.uint8) if out is None else out)
-    return _unproject_numpy(r, out)
+    if out is None:
+        return _unproject_numpy(r)
+    out[...] = _unproject_numpy(r)  # as the native kernel writes, rows overlapping or not
+    return out
 
 
 # The numpy implementations: the pure backend, and the reference the native
@@ -108,10 +111,10 @@ def _project_numpy(x: np.ndarray) -> np.ndarray:
     return ((s << 1) ^ (s >> 7)).view(np.uint8)
 
 
-def _unproject_numpy(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _unproject_numpy(r: np.ndarray) -> np.ndarray:
     y = (r >> 1) ^ (0 - (r & 1))
     if r.shape[2] == 3:
         y[..., 1] += y[..., 0]
         y[..., 2] += y[..., 0]
     y = np.cumsum(y, axis=1, dtype=np.uint8)
-    return np.cumsum(y, axis=0, dtype=np.uint8, out=y if out is None else out)
+    return np.cumsum(y, axis=0, dtype=np.uint8, out=y)

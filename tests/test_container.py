@@ -92,6 +92,23 @@ def test_unsupported_version():
         read_container(bytes(blob))
 
 
+@pytest.mark.parametrize("version", [0, VERSION + 1])
+def test_writer_emits_only_its_version(version):
+    header, *rest = small_container()
+    with pytest.raises(StructuralError, match="version"):
+        write_container(dataclasses.replace(header, version=version), *rest)
+
+
+def test_patch_size_fits_its_u32():
+    # the largest patch size the field holds round-trips; the config refuses
+    # one more before any tile is encoded
+    header, *rest = small_container(patch_size=2**32 - 1)
+    assert read_container(write_container(header, *rest)).header.patch_size == 2**32 - 1
+    assert CompressionConfig(patch_size=2**32 - 1).patch_size == 2**32 - 1
+    with pytest.raises(ValueError, match="patch_size"):
+        compress(np.ones((2, 3, 1), dtype=np.uint8), CompressionConfig(patch_size=2**32))
+
+
 def test_truncation_at_every_prefix():
     blob = write_container(*small_container())
     for cut in range(len(blob)):

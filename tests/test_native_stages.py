@@ -74,27 +74,30 @@ def test_unproject_out_is_checked():
     assert np.array_equal(unproject(wide[:, 1:], out=wide[:, :6]), expect)
 
 
-def test_unproject_into_rows_that_overlap(native):
+def test_unproject_into_rows_that_overlap(native, monkeypatch):
     # writeable views that pass every check in transform.unproject, with row
     # strides shorter than a row: the result is numpy's assignment of the
-    # patch into the same view
+    # patch into the same view, from the native kernel and the pure backend
     rng = np.random.default_rng(41)
     r = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
+    monkeypatch.setattr(transform, "native", None)
     for strides in ((6, 3, 1), (0, 3, 1), (3, 3, 1)):
         canvas = rng.integers(0, 256, 60, dtype=np.uint8)
         want = canvas.copy()
         as_strided(want, r.shape, strides)[...] = _unproject_numpy(r)
-        got = canvas.copy()
-        view = as_strided(got, r.shape, strides)
-        assert native.unproject(r, view) is view
-        assert np.array_equal(got, want), strides
+        for run in (native.unproject, transform.unproject):
+            got = canvas.copy()
+            view = as_strided(got, r.shape, strides)
+            assert run(r, view) is view
+            assert np.array_equal(got, want), (strides, run)
 
 
 def test_codec_tiles_are_never_copied(native, monkeypatch):
-    # margin rows cropped off (tiles are views of the input), then margin
-    # columns and an interior row too (tiles are views of the gathered
-    # copy), tiles cut short at the right and bottom edges, tiles decoded in
-    # place and beside a removed row: every array reaches the kernels as it is
+    # margins cropped off, of rows and of rows and columns (tiles are views
+    # of the input), then an interior row too (tiles are views of the
+    # gathered copy), tiles cut short at the right and bottom edges, tiles
+    # decoded in place and beside a removed row: every array reaches the
+    # kernels as it is
     copied = []
     copy = native._copy
     monkeypatch.setattr(native, "_copy", lambda a: copied.append(a.shape) or copy(a))
@@ -102,7 +105,7 @@ def test_codec_tiles_are_never_copied(native, monkeypatch):
     monkeypatch.setattr(bitplane, "native", native)
     rng = np.random.default_rng(42)
     for c in (1, 3):
-        for cols, gap in ((slice(0, 61), []), (slice(2, 59), [30])):
+        for cols, gap in ((slice(0, 61), []), (slice(2, 59), []), (slice(2, 59), [30])):
             image = np.zeros((70, 61, c), dtype=np.uint8)
             image[3:66, cols] = rng.integers(1, 256, (63, cols.stop - cols.start, c),
                                              dtype=np.uint8)

@@ -175,6 +175,11 @@ def test_crop_views_input_only_when_nothing_is_gathered():
     margins = np.zeros((9, 6, 3), dtype=np.uint8)
     margins[2:5] = 1
     assert np.shares_memory(crop_empty(margins).cropped, margins)
+    framed = np.zeros((9, 8, 3), dtype=np.uint8)
+    framed[2:5, 1:6] = 1  # margins on all four sides
+    assert np.shares_memory(crop_empty(framed).cropped, framed)
+    framed[:, 3] = 0  # an empty column inside the live block
+    assert not np.shares_memory(crop_empty(framed).cropped, framed)
     for name in ("one block", "split rows"):
         assert not np.shares_memory(crop_empty(cases[name]).cropped, cases[name])
 
@@ -420,6 +425,8 @@ def test_decompressed_dtype_and_shape():
 @pytest.mark.parametrize("kwargs", [
     {"patch_size": 0},
     {"patch_size": -5},
+    {"patch_size": 2**32},  # the container holds it in a u32
+    {"patch_size": 2**33},
     {"lzw_max_width": 8},
     {"lzw_max_width": 21},
 ])
