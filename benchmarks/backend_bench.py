@@ -4,7 +4,9 @@ LZW: the two backends must produce byte-identical streams; this script
 checks that on every workload, then reports encode/decode throughput for
 each and the native speedup. Workloads cover the codec's real input
 (bit-plane streams of projected slide patches) plus incompressible and highly
-repetitive extremes.
+repetitive extremes, each one call on ``--size`` bytes, and the 12,288-byte
+stream of one 64x64x3 corpus tile, one call per tile as the codec makes them,
+timed over ``--size`` bytes of such calls, so per-call start-up counts too.
 
 Pixel stages: the native projection and bit-plane kernels must give the same
 output as their numpy references on a slide-like 256x256x3 tile, a
@@ -51,14 +53,15 @@ def workloads(seed: int, size: int) -> dict:
         "gradient bitplanes": _tile_to(to_bitplanes(project(gradient)), size),
         "random bytes": rng.integers(0, 256, size, dtype=np.uint8).tobytes(),
         "constant bytes": bytes(size),
+        "corpus tile bitplanes": to_bitplanes(project(stage_tiles(seed)["corpus tile 64^2x3"])),
     }
 
 
-def _best_time(fn, *args, repeats: int) -> float:
+def _best_time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -78,25 +81,27 @@ def bench(size: int, repeats: int, max_width: int, seed: int) -> int:
         if any(enc != first for enc in encoded.values()):
             print(f"error: backends disagree on {name!r}", file=sys.stderr)
             return 1
+        calls = max(1, size // len(data))
         for backend, mod in backends:
-            enc_s = _best_time(mod.encode, data, max_width, repeats=repeats)
-            dec_s = _best_time(mod.decode, encoded[backend], max_width, len(data),
-                               repeats=repeats)
+            enc_s = _best_time(lambda: [mod.encode(data, max_width) for _ in range(calls)],
+                               repeats=repeats) / calls
+            dec_s = _best_time(lambda: [mod.decode(encoded[backend], max_width, len(data))
+                                        for _ in range(calls)], repeats=repeats) / calls
             rows.append((name, backend,
                          len(data) / enc_s / 1e6, len(data) / dec_s / 1e6,
                          len(data) / len(encoded[backend])))
 
-    print(f"{'workload':20} {'backend':8} {'encode MB/s':>12} "
+    print(f"{'workload':22} {'backend':8} {'encode MB/s':>12} "
           f"{'decode MB/s':>12} {'ratio':>7}")
     for name, backend, enc, dec, ratio in rows:
-        print(f"{name:20} {backend:8} {enc:12.1f} {dec:12.1f} {ratio:7.2f}")
+        print(f"{name:22} {backend:8} {enc:12.1f} {dec:12.1f} {ratio:7.2f}")
 
     if _lzw_native is not None:
         print()
         for name in dict.fromkeys(r[0] for r in rows):
             pure = next(r for r in rows if r[0] == name and r[1] == "python")
             fast = next(r for r in rows if r[0] == name and r[1] == "native")
-            print(f"{name:20} native speedup: encode {fast[2] / pure[2]:5.1f}x"
+            print(f"{name:22} native speedup: encode {fast[2] / pure[2]:5.1f}x"
                   f"  decode {fast[3] / pure[3]:5.1f}x")
     return 0
 

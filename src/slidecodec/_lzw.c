@@ -86,9 +86,9 @@ static inline int put(writer *w, int width, int32_t code)
 }
 
 /* Open-addressing dictionary from (prefix_code << 8 | byte) to code. It
-   starts small and doubles while kept at most half full, so its size follows
-   the dictionary actually built, which the input length and 2**max_width
-   bound, rather than the code space. */
+   doubles while kept at most half full, so its size follows the dictionary
+   actually built, which the input length and 2**max_width bound, rather
+   than the code space. It starts at the size table_start_bits gives. */
 typedef struct {
     uint32_t *keys; /* key + 1; 0 marks an empty slot */
     int32_t *vals;
@@ -103,6 +103,21 @@ static int table_init(table *t, int bits)
     t->bits = bits;
     t->used = 0;
     return t->keys && t->vals ? 0 : -1;
+}
+
+/* Bits of the starting table for n input bytes: the smallest 2**bits of at
+   least n/2 slots, from 2**8 to 2**14. Each doubling rescans the whole table,
+   so a start at the size a stream ends at skips them all: a 64x64x3 tile's
+   12,288 bytes never rehash, and bit-plane streams of about 150 KB start at
+   the 2**14 slots they end at. The cap keeps a long stream, which fills the
+   table far below n/2 entries (one per phrase, not per byte), from starting
+   at a table larger than it needs; raw streams still grow past it. */
+static int table_start_bits(size_t n)
+{
+    int bits = 8;
+    while (bits < 14 && ((size_t)1 << bits) < n / 2)
+        bits++;
+    return bits;
 }
 
 /* The slot holding key, or the empty slot where it belongs. */
@@ -216,7 +231,7 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
         runs[b].top = 1;
 
     int status = LZW_NOMEM;
-    if (table_init(&t, 8) || !w.buf)
+    if (table_init(&t, table_start_bits(n)) || !w.buf)
         goto done;
 
     int width = MIN_WIDTH;
@@ -329,8 +344,11 @@ done:
    it already lies in the output (the LZ77 view of LZ78 phrases). start[k]
    is where code k since the last CLEAR, counting from 0, was written (until
    the dictionary is full), so entry FIRST_CODE + k is the start[k + 1] -
-   start[k] + 1 bytes at start[k], and each code is one memcpy from output
-   that ends at the write position or before. */
+   start[k] + 1 bytes at start[k], and each code is one copy from output
+   that ends at the write position or before. A phrase of at most 16 bytes
+   is copied inline, as two 8-byte words, while 16 bytes of out remain; it
+   may then write garbage up to 15 bytes past its end, so out's bytes past
+   the write position are undefined until the call returns LZW_OK. */
 int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t *out,
                lzw_result *res)
 {
@@ -392,7 +410,24 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t
         if (code < 256) {
             out[len] = (uint8_t)code;
         } else {
-            memcpy(out + len, out + from, cur_len - kwk);
+            if (cur_len <= 16 && size - len >= 16) {
+                /* Most phrases are short: copy 16 bytes as two words. As
+                   from < len and len + 16 <= size, both 16-byte windows lie
+                   in out: the loads read up to 15 bytes past the phrase,
+                   and the stores write up to 15 bytes past it, which later
+                   codes overwrite (on an error the caller discards out).
+                   The phrase ends at or before len, so where the windows
+                   overlap they hold only bytes past it; both words are
+                   loaded before either is stored so that the compiler need
+                   not order a load after a store that may alias it. */
+                uint64_t lo, hi;
+                memcpy(&lo, out + from, 8);
+                memcpy(&hi, out + from + 8, 8);
+                memcpy(out + len, &lo, 8);
+                memcpy(out + len + 8, &hi, 8);
+            } else {
+                memcpy(out + len, out + from, cur_len - kwk);
+            }
             if (kwk)
                 out[len + cur_len - 1] = out[from];
         }

@@ -3,7 +3,7 @@
 Byte-exact layout, all integers little-endian:
 
     magic            4 bytes, ASCII "WISE"
-    version          u16 (this writer emits 1; readers reject anything newer)
+    version          u16 (this writer emits 1; readers reject 0 and anything newer)
     flags            u16: bit 0 = alpha channel was dropped,
                           bits 1-5 = LZW max code width (0 means default 16)
     original width   u32
@@ -62,6 +62,7 @@ STAGE_BITPLANE = 2
 STAGE_LZW = 4
 
 _RECORD = struct.Struct("<IIIIQQB")  # one patch record, in PatchRecord's field order
+_U32 = 1 << 32
 
 _FLAG_ALPHA = 0x0001
 _WIDTH_SHIFT = 1
@@ -124,14 +125,17 @@ def _check_index_list(name, indices, bound):
 
 
 def _validate(header, removed_rows, removed_cols, records, payloads):
-    if header.original_width < 1 or header.original_height < 1:
-        raise StructuralError("original dimensions must be positive")
-    if header.channels not in (1, 3, 4):
+    if not (0 < header.original_width < _U32 and 0 < header.original_height < _U32):
+        raise StructuralError(
+            f"original dimensions {header.original_width}x{header.original_height} "
+            f"must be positive and fit their u32 fields"
+        )
+    if header.channels not in (1, 3, 4):  # so it fits its u8 field too
         raise StructuralError(f"unsupported channel count {header.channels}")
     if header.bit_depth != 8:
         raise StructuralError("only 8-bit samples are supported")
-    if header.patch_size < 1:
-        raise StructuralError("patch size must be positive")
+    if not 0 < header.patch_size < _U32:
+        raise StructuralError(f"patch size {header.patch_size} must be positive and fit its u32")
     if not 9 <= header.lzw_max_width <= 20:
         raise StructuralError(f"LZW max width {header.lzw_max_width} outside [9, 20]")
     _check_index_list("row", removed_rows, header.original_height)
@@ -151,6 +155,10 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
             f"image at patch size {p} needs {expected} row-major tiles"
         )
     for i, (rec, blob, tile) in enumerate(zip(records, payloads, tile_grid(ch, cw, p))):
+        try:
+            _RECORD.pack(*vars(rec).values())
+        except struct.error as exc:
+            raise StructuralError(f"patch {i}: {rec} does not fit the wire format: {exc}") from None
         if rec.enc_len != len(blob):
             raise StructuralError(
                 f"patch {i}: record says {rec.enc_len} compressed bytes, blob has {len(blob)}"
@@ -276,6 +284,8 @@ def read_container(data: bytes) -> Container:
         raise UnsupportedVersionError(
             f"container version {version} is newer than supported version {VERSION}"
         )
+    if version < 1:
+        raise UnsupportedVersionError("container version 0 does not exist; versions start at 1")
     width, height, channels, bit_depth, patch_size = r.unpack("<IIBBI", "header")
     lzw_max_width = (flags >> _WIDTH_SHIFT) & _WIDTH_MASK or 16
     header = ContainerHeader(

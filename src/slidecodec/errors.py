@@ -30,7 +30,7 @@ class BadMagicError(ContainerError):
 
 
 class UnsupportedVersionError(ContainerError):
-    """Container version is newer than this reader."""
+    """Container version is 0, which no writer emits, or newer than this reader."""
 
 
 class IndexInconsistencyError(ContainerError):

@@ -15,7 +15,7 @@ from slidecodec.errors import CodecError
 from slidecodec.synthetic import wsi_like_image
 from slidecodec.transform import project
 
-from oracles import oracle_pack
+from oracles import oracle_lzw_codes, oracle_pack
 
 
 def outcome(decode, *args):
@@ -145,7 +145,11 @@ def edge_cases():
       read at the next, and as the dictionary's last entry;
     * the dictionary filled, ending on KwK codes, then literals and codes up
       to ``2**width - 1`` with no CLEAR, which define no entries;
-    * a CLEAR right after a KwK, then KwK codes again.
+    * a CLEAR right after a KwK, then KwK codes again;
+    * a phrase of 1 to 17 bytes, referenced or KwK, ending 0 to 16 bytes
+      before ``size``, around where the decoder's inline copy of phrases
+      up to 16 bytes, which reads and writes 16, gives way to ``memcpy``
+      (see :func:`phrase_end_codes`).
     """
     cases = []
     for width in (9, 12, 16):
@@ -167,10 +171,34 @@ def edge_cases():
                         65, capacity - 1, capacity - 2, 7, capacity - 1, END]
         after_kwk = [65, FIRST_CODE, CLEAR, 66, FIRST_CODE, FIRST_CODE + 1, CLEAR,
                      67, FIRST_CODE, CLEAR, 68, END]
-        for seq in (kwk_steps, full, after_kwk):
+        for seq in (kwk_steps, full, after_kwk, *phrase_end_codes(width)):
             size = sum(n for _, _, n in phrases(seq))
             cases.append((oracle_pack(seq, width), width, size))
     return cases
+
+
+def phrase_end_codes(width):
+    """Code sequences that end on a phrase of 1 to 17 bytes, then 0 to 16 literals.
+
+    A prefix (the oracle's codes for 1, 12, 123, ..., 12...19) defines
+    entries of 2 to 19 distinct bytes. After it comes, for each length L,
+    an entry of L bytes (a literal for L = 1), or for L >= 2 an entry of
+    L - 1 bytes followed by the KwK code that repeats it plus its first
+    byte, and then d = 0 to 16 literals and END, so the phrase ends d
+    bytes before the output does.
+    """
+    prefix = oracle_lzw_codes(b"".join(bytes(range(1, k)) for k in range(1, 21)), width)[:-1]
+    lengths = [n for _, _, n in phrases(prefix)]
+    # entry FIRST_CODE + k is the k-th data code's phrase plus one byte
+    entry = {1: 20} | {n + 1: FIRST_CODE + k for k, n in enumerate(lengths[:-1])}
+    for length in range(1, 18):
+        ends = [[entry[length]]]
+        if length > 1:
+            # the code read after the prefix and one more defines this entry
+            ends.append([entry[length - 1], FIRST_CODE + len(lengths)])
+        for end in ends:
+            for tail in range(17):
+                yield prefix + end + [200 + i for i in range(tail)] + [END]
 
 
 def assert_identical(native, pure, cases, streams=()):

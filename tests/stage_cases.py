@@ -73,10 +73,12 @@ def check_bitplanes(native, r, rng):
     assert stream == _to_bitplanes_numpy(r)
     assert np.array_equal(native.from_bitplanes(stream, h, w, c),
                           _from_bitplanes_numpy(stream, h, w, c))
-    # any bytes, pad bits included, decode alike
+    # any bytes, pad bits included, decode alike: as bytes, as a writable
+    # view like the decoder's output (empty when c is 0) and as a read-only one
     noise = rng.integers(0, 256, len(stream), dtype=np.uint8).tobytes()
-    assert np.array_equal(native.from_bitplanes(noise, h, w, c),
-                          _from_bitplanes_numpy(noise, h, w, c))
+    want = _from_bitplanes_numpy(noise, h, w, c)
+    for given in (noise, memoryview(bytearray(noise)), memoryview(noise)):
+        assert np.array_equal(native.from_bitplanes(given, h, w, c), want)
 
 
 def check_stages(native, rng, count):

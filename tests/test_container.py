@@ -86,10 +86,12 @@ def test_bad_magic():
 
 
 def test_unsupported_version():
-    blob = bytearray(write_container(*small_container()))
-    blob[4:6] = (99).to_bytes(2, "little")
-    with pytest.raises(UnsupportedVersionError):
-        read_container(bytes(blob))
+    # no writer has emitted version 0; 99 is newer than this reader
+    for version in (0, 99):
+        blob = bytearray(write_container(*small_container()))
+        blob[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(UnsupportedVersionError, match=f"version {version} "):
+            read_container(bytes(blob))
 
 
 @pytest.mark.parametrize("version", [0, VERSION + 1])
@@ -101,12 +103,33 @@ def test_writer_emits_only_its_version(version):
 
 def test_patch_size_fits_its_u32():
     # the largest patch size the field holds round-trips; the config refuses
-    # one more before any tile is encoded
+    # one more before any tile is encoded, and the container before packing
     header, *rest = small_container(patch_size=2**32 - 1)
     assert read_container(write_container(header, *rest)).header.patch_size == 2**32 - 1
     assert CompressionConfig(patch_size=2**32 - 1).patch_size == 2**32 - 1
     with pytest.raises(ValueError, match="patch_size"):
         compress(np.ones((2, 3, 1), dtype=np.uint8), CompressionConfig(patch_size=2**32))
+    with pytest.raises(StructuralError, match="^patch size 4294967296 must be positive"):
+        write_container(dataclasses.replace(header, patch_size=2**32), *rest)
+
+
+@pytest.mark.parametrize("field, value", [("original_width", 2**32),
+                                          ("original_height", 2**32), ("channels", 256)])
+def test_header_fields_wider_than_their_wire_types_rejected(field, value):
+    header, *rest = small_container()
+    with pytest.raises(StructuralError):
+        write_container(dataclasses.replace(header, **{field: value}), *rest)
+
+
+@pytest.mark.parametrize("field, bits", [("row", 32), ("col", 32), ("height", 32), ("width", 32),
+                                         ("raw_len", 64), ("enc_len", 64), ("stage_mask", 8)])
+def test_record_fields_wider_than_their_wire_types_rejected(field, bits):
+    # checked before the tiling, so each raises StructuralError, not struct.error
+    header, rr, rc, (rec,), pays = small_container()
+    for value in (2**bits, -1):
+        bad = dataclasses.replace(rec, **{field: value})
+        with pytest.raises(StructuralError, match="^patch 0: .* does not fit the wire format"):
+            write_container(header, rr, rc, (bad,), pays)
 
 
 def test_truncation_at_every_prefix():

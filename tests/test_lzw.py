@@ -299,6 +299,22 @@ def test_backends_byte_identical_across_resets():
                               for at in clear_offsets(c))}
 
 
+def test_backends_byte_identical_around_the_table_start_size():
+    # the encoder's hash table starts at a size set by the input length: 300
+    # bytes start at the smallest, 64 KB at the largest start, which random
+    # bytes outgrow at widths 16 and 20 and at widths 9 and 12 fill to CLEAR
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    rng = np.random.default_rng(39)
+    cases = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), width)
+             for n in (300, 1 << 16) for width in (9, 12, 16, 20)]
+    assert_identical(_lzw_native, _lzw_py, cases)
+    codes = {(len(data), w): _lzw_native.encode_trace(data, w)[1] for data, w in cases}
+    assert {w for (n, w), c in codes.items() if CLEAR in c} == {9, 12}
+    # over 2**14 codes, each an entry, against the 2**13 entries that the
+    # 2**14 starting slots hold at half load: the table doubles
+    assert all(len(c) > 1 << 14 for (n, w), c in codes.items() if n > 300 and w > 12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0x00, 0x01, 0x55, 0xAA, 0xFF]),
                           st.integers(1, 3000)), max_size=40))
