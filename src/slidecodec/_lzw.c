@@ -686,7 +686,7 @@ static inline void scatter8(uint64_t x, uint8_t *p, size_t c)
     p[7 * c] = (uint8_t)x;
 }
 
-/* Planes of groups g0 .. g0 + n - 1 from p, n groups of 8 packed pixels of
+/* Planes of groups 0 .. n - 1 from p, n groups of 8 packed pixels of
    c channels. Plane section j (bit 7 - j) of channel k starts at
    planes + (8k + j) * plane_len. Eight groups at a time, each plane's 8
    bytes are assembled on the stack and stored as one word: the 8c planes
@@ -694,7 +694,7 @@ static inline void scatter8(uint64_t x, uint8_t *p, size_t c)
    byte stores to that many of them at once evict each other from the
    cache. */
 static inline void to_planes(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
-                             size_t plane_len, size_t g0)
+                             size_t plane_len)
 {
     size_t g = 0;
     for (; g + 8 <= n; g += 8, p += 64 * c) {
@@ -702,26 +702,26 @@ static inline void to_planes(const uint8_t *p, size_t n, size_t c, uint8_t *plan
             uint8_t block[8][8]; /* block[j][i]: plane section j, group g + i */
             for (size_t i = 0; i < 8; i++)
                 scatter8(transpose8(gather8(p + 8 * i * c + k, c)), &block[0][i], 8);
-            uint8_t *out = planes + 8 * k * plane_len + g0 + g;
+            uint8_t *out = planes + 8 * k * plane_len + g;
             for (size_t j = 0; j < 8; j++)
                 memcpy(out + j * plane_len, block[j], 8);
         }
     }
     for (; g < n; g++, p += 8 * c)
         for (size_t k = 0; k < c; k++)
-            scatter8(transpose8(gather8(p + k, c)), planes + 8 * k * plane_len + g0 + g,
+            scatter8(transpose8(gather8(p + k, c)), planes + 8 * k * plane_len + g,
                      plane_len);
 }
 
 static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
-                        size_t plane_len, size_t g0)
+                        size_t plane_len)
 {
     if (c == 1)
-        to_planes(p, n, 1, planes, plane_len, g0);
+        to_planes(p, n, 1, planes, plane_len);
     else if (c == 3)
-        to_planes(p, n, 3, planes, plane_len, g0);
+        to_planes(p, n, 3, planes, plane_len);
     else
-        to_planes(p, n, c, planes, plane_len, g0);
+        to_planes(p, n, c, planes, plane_len);
 }
 
 /* planes = to_bitplanes(x), x contiguous: c * 8 * ceil(h*w / 8) bytes, any c. */
@@ -730,7 +730,7 @@ void px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *pl
     const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
     if (!npix || !c)
         return;
-    to_planes_c(x, groups, c, planes, plane_len, 0);
+    to_planes_c(x, groups, c, planes, plane_len);
     /* the last group, zero-padded: its pixels gathered into one word per channel */
     x += 8 * groups * c;
     for (size_t k = 0; k < c && npix % 8; k++) {
@@ -741,26 +741,26 @@ void px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *pl
     }
 }
 
-/* Pixels of groups g0 .. g0 + n - 1, packed into p; the inverse of
+/* Pixels of groups 0 .. n - 1, packed into p; the inverse of
    to_planes. */
 static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                               size_t plane_len, size_t g0)
+                               size_t plane_len)
 {
     for (size_t g = 0; g < n; g++, p += 8 * c)
         for (size_t k = 0; k < c; k++)
-            scatter8(transpose8(gather8(planes + 8 * k * plane_len + g0 + g, plane_len)),
+            scatter8(transpose8(gather8(planes + 8 * k * plane_len + g, plane_len)),
                      p + k, c);
 }
 
 static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                          size_t plane_len, size_t g0)
+                          size_t plane_len)
 {
     if (c == 1)
-        from_planes(planes, n, 1, p, plane_len, g0);
+        from_planes(planes, n, 1, p, plane_len);
     else if (c == 3)
-        from_planes(planes, n, 3, p, plane_len, g0);
+        from_planes(planes, n, 3, p, plane_len);
     else
-        from_planes(planes, n, c, p, plane_len, g0);
+        from_planes(planes, n, c, p, plane_len);
 }
 
 /* y (packed, h*w*c bytes) = from_bitplanes(planes); pad bits are ignored. */
@@ -769,7 +769,7 @@ void px_from_bitplanes(const uint8_t *planes, size_t h, size_t w, size_t c, uint
     const size_t npix = h * w, plane_len = (npix + 7) / 8, groups = npix / 8;
     if (!npix || !c)
         return;
-    from_planes_c(planes, groups, c, y, plane_len, 0);
+    from_planes_c(planes, groups, c, y, plane_len);
     /* the last group: one word per channel, scattered to the pixels present */
     y += 8 * groups * c;
     for (size_t k = 0; k < c && npix % 8; k++) {

@@ -155,10 +155,6 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
             f"image at patch size {p} needs {expected} row-major tiles"
         )
     for i, (rec, blob, tile) in enumerate(zip(records, payloads, tile_grid(ch, cw, p))):
-        try:
-            _RECORD.pack(*vars(rec).values())
-        except struct.error as exc:
-            raise StructuralError(f"patch {i}: {rec} does not fit the wire format: {exc}") from None
         if rec.enc_len != len(blob):
             raise StructuralError(
                 f"patch {i}: record says {rec.enc_len} compressed bytes, blob has {len(blob)}"
@@ -198,8 +194,15 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
     """Serialize a container; identical inputs always yield identical bytes."""
     if header.version != VERSION:
         raise StructuralError(f"this writer emits version {VERSION}, not {header.version}")
-    cont = Container(header, tuple(removed_rows), tuple(removed_cols),
-                     tuple(records), tuple(payloads))
+    # packed once, before the Container checks the tiling; wire records always fit
+    records = tuple(records)
+    table = bytearray()
+    for i, rec in enumerate(records):
+        try:
+            table += _RECORD.pack(*vars(rec).values())
+        except struct.error as exc:
+            raise StructuralError(f"patch {i}: {rec} does not fit the wire format: {exc}") from None
+    cont = Container(header, tuple(removed_rows), tuple(removed_cols), records, tuple(payloads))
 
     flags = (_FLAG_ALPHA if header.alpha_dropped else 0) | (
         header.lzw_max_width << _WIDTH_SHIFT
@@ -218,17 +221,7 @@ def write_container(header, removed_rows, removed_cols, records, payloads) -> by
     _put_index_list(out, cont.removed_rows)
     _put_index_list(out, cont.removed_cols)
     out += struct.pack("<I", len(cont.records))
-    for rec in cont.records:
-        out += _RECORD.pack(
-            rec.row,
-            rec.col,
-            rec.height,
-            rec.width,
-            rec.raw_len,
-            rec.enc_len,
-            rec.stage_mask,
-        )
-    return b"".join((out, *cont.payloads))
+    return b"".join((out, table, *cont.payloads))
 
 
 class _Reader:

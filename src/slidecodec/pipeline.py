@@ -5,7 +5,10 @@ cropped and their indices recorded. The cropped image is cut into
 patch_size x patch_size tiles, edge tiles keeping their true size. Each tile
 passes through the enabled stages in order: projection residuals, bit-plane
 transposition, LZW. Stage choices are recorded per tile in a stage mask so
-ablation containers decode correctly.
+ablation containers decode correctly. One rule, ``_blocks``, places a block
+of the cropped image in the full image for crop, uncrop and decompress: it
+is a view of the image where no removed line crosses it, and otherwise it
+moves one run of consecutive kept columns at a time, through slices.
 
 ``threads`` counts every thread that works on a call's tiles, the calling
 thread included: the caller starts ``min(threads, tiles) - 1`` helper
@@ -107,22 +110,27 @@ def _check_image(image, channels=(1, 3, 4)):
 def crop_empty(image) -> CropResult:
     """Drop rows and columns that are entirely zero across all channels.
 
-    Each axis is sliced when its live lines form one block and gathered with
-    ``take`` otherwise: ``cropped`` is a view of ``image`` unless an empty
-    line lies inside the live block.
+    The live lines are taken by :func:`_blocks`, as :func:`uncrop` and
+    :func:`decompress` place them: ``cropped`` is a view of ``image`` unless an
+    empty line lies inside the live block, else filled one column run at a time.
     """
     image = _check_image(image)
-    h, w, _ = image.shape
+    h, w, c = image.shape
     # max(...) != 0 gives the same masks as any(...) several times faster.
     row_live = image.reshape(h, -1).max(axis=1) != 0
     col_live = image.max(axis=0).max(axis=1) != 0
-    cropped = image
-    for axis, live in enumerate((row_live, col_live)):
-        kept = np.flatnonzero(live)
-        if len(kept) and kept[-1] - kept[0] == len(kept) - 1:
-            cropped = cropped[(slice(None),) * axis + (slice(kept[0], kept[-1] + 1),)]
+    kept_rows, kept_cols = np.flatnonzero(row_live), np.flatnonzero(col_live)
+    ch, cw = len(kept_rows), len(kept_cols)
+    if not ch:  # no live pixel, so no live column either
+        cropped = np.empty((0, 0, c), dtype=np.uint8)
+    else:
+        rows, runs = _blocks(kept_rows, kept_cols, 0, 0, ch, cw)
+        if isinstance(rows, slice) and len(runs) == 1:
+            cropped = image[rows, runs[0][1]]
         else:
-            cropped = cropped.take(kept, axis=axis)
+            cropped = np.empty((ch, cw, c), dtype=np.uint8)
+            for tile_cols, cols in runs:
+                cropped[:, tile_cols] = image[rows, cols]
     return CropResult(
         cropped=cropped,
         removed_rows=tuple(np.flatnonzero(~row_live).tolist()),
@@ -139,46 +147,39 @@ def _kept_lines(removed, n):
     return np.flatnonzero(live)
 
 
-def _destination(out, record, kept_rows, kept_cols):
-    """The view of ``out`` that the tile of ``record`` fills, when its kept
-    rows and its kept columns each form one run; otherwise None."""
-    top, bottom = kept_rows[record.row], kept_rows[record.row + record.height - 1]
-    left, right = kept_cols[record.col], kept_cols[record.col + record.width - 1]
-    if bottom - top == record.height - 1 and right - left == record.width - 1:
-        return out[top : bottom + 1, left : right + 1]
-    return None
+def _line_runs(lines):
+    """``(slice of lines, slice of the image)`` per run of consecutive values
+    in ``lines``, an increasing index array of image lines."""
+    n = len(lines)
+    if lines[-1] - lines[0] == n - 1:
+        return [(slice(0, n), slice(lines[0], lines[-1] + 1))]
+    # found on a list: numpy temporaries made here, between a decoded
+    # tile's large buffers, raised the decoder's peak resident memory
+    lines = lines.tolist()
+    breaks = [j for j in range(1, n) if lines[j] != lines[j - 1] + 1]
+    return [(slice(a, b), slice(lines[a], lines[b - 1] + 1))
+            for a, b in zip([0, *breaks], [*breaks, n])]
 
 
-def _place(out, tile, row, col, kept_rows, kept_cols):
-    """Write ``tile``, at cropped ``(row, col)``, to its place in the full image.
-
-    Rows whose kept lines under the tile form one run (the usual case:
-    margins only) are written through a slice, and rows that removed rows
-    split through an index array. Columns are written one run of
-    consecutive kept columns at a time, each through a slice: an index
-    array on the column axis would scatter the tile pixel by pixel.
-    """
-    h, w = tile.shape[:2]
+def _blocks(kept_rows, kept_cols, row, col, h, w):
+    """``(rows, runs)``: where the ``h x w`` block at cropped ``(row, col)``
+    lies in the full image. ``rows`` is a slice when the block's kept rows
+    form one run, else an index array. ``runs`` holds a ``(block columns,
+    image columns)`` slice pair per run of consecutive kept columns (an index
+    array there would move pixels one by one). With a slice of rows and one
+    run, ``image[rows, cols]`` is a view of the whole block."""
     rows = kept_rows[row : row + h]
-    if rows[-1] - rows[0] == h - 1:
-        rows = slice(rows[0], rows[-1] + 1)
-    cols = kept_cols[col : col + w]
-    if cols[-1] - cols[0] == w - 1:
-        out[rows, cols[0] : cols[-1] + 1] = tile
-        return
-    # found on a list: numpy temporaries made here, between the tile's
-    # large decode buffers, raised the decoder's peak resident memory
-    lines = cols.tolist()
-    breaks = [j for j in range(1, w) if lines[j] != lines[j - 1] + 1]
-    for start, stop in zip([0, *breaks], [*breaks, w]):
-        out[rows, cols[start] : cols[stop - 1] + 1] = tile[:, start:stop]
+    row_runs = _line_runs(rows)
+    if len(row_runs) == 1:
+        rows = row_runs[0][1]
+    return rows, _line_runs(kept_cols[col : col + w])
 
 
 def uncrop(result: CropResult) -> np.ndarray:
     """Re-insert zero rows/columns at the recorded indices.
 
     :func:`decompress` does not call this: it writes each tile straight to
-    its place in the full image through the same placement rule.
+    its place in the full image through the same rule, :func:`_blocks`.
     """
     cropped = result.cropped
     if not isinstance(cropped, np.ndarray) or cropped.ndim != 3:
@@ -200,7 +201,9 @@ def uncrop(result: CropResult) -> np.ndarray:
         raise StructuralError("removed indices duplicated")
     out = np.zeros((h, w, nchan), dtype=np.uint8)
     if ch and cw:
-        _place(out, cropped, 0, 0, kept_rows, kept_cols)
+        rows, runs = _blocks(kept_rows, kept_cols, 0, 0, ch, cw)
+        for tile_cols, cols in runs:
+            out[rows, cols] = cropped[:, tile_cols]
     return out
 
 
@@ -355,15 +358,13 @@ def decompress(data, threads=1) -> np.ndarray:
 
     Each payload is first checked against the bytes its record says it
     decodes to (``lzw.check_decoded_size``), so a huge claim fails before
-    the image is allocated, once and zeroed; each tile is then decoded
-    straight to its place in it, skipping the removed rows and columns; no
-    cropped image is built. A projected tile whose kept rows and kept
-    columns each form one run (no removed line crosses it) is unprojected
-    in place, straight into its view of the image; any other tile is
-    decoded to its own array and copied into place. Every Container is
-    validated when it is built, which proves the crop lists increasing and
-    in range and the tiles disjoint, so tile threads never write the same
-    pixel.
+    the image is allocated, once and zeroed; no cropped image is built.
+    Each tile goes straight to its place by the module's one rule: a
+    projected tile that no removed line crosses is unprojected into its
+    view of the image; any other is decoded to its own array and copied in
+    run by run. Every Container is validated when it is built, which proves
+    the crop lists increasing and in range and the tiles disjoint, so tile
+    threads never write the same pixel.
     """
     _check_threads(threads)
     cont = data if isinstance(data, Container) else read_container(data)
@@ -383,10 +384,12 @@ def decompress(data, threads=1) -> np.ndarray:
 
     def place(job):
         rec, payload = job
-        dest = _destination(out, rec, kept_rows, kept_cols)
+        rows, runs = _blocks(kept_rows, kept_cols, rec.row, rec.col, rec.height, rec.width)
+        dest = out[rows, runs[0][1]] if isinstance(rows, slice) and len(runs) == 1 else None
         tile = _decode_tile(rec, payload, hdr.channels, hdr.lzw_max_width, dest)
         if tile is not dest:
-            _place(out, tile, rec.row, rec.col, kept_rows, kept_cols)
+            for tile_cols, cols in runs:
+                out[rows, cols] = tile[:, tile_cols]
 
     _run(list(zip(cont.records, cont.payloads)), place, threads)
     return out

@@ -153,8 +153,9 @@ def crop_cases(rng, c):
 
 @pytest.mark.parametrize("c", [1, 3, 4])
 def test_crop_matches_any_reference(c):
+    # placement_cases split the live rows, columns or both: crop_empty's run gather
     rng = np.random.default_rng(59 + c)
-    for name, img in crop_cases(rng, c):
+    for name, img in crop_cases(rng, c) + placement_cases(rng, c, 8):
         for layout, view in [("contiguous", img), ("reversed", img[::-1, ::-1]),
                              ("strided", np.repeat(img, 2, axis=1)[::2, ::2])]:
             res = crop_empty(view)
@@ -283,17 +284,24 @@ def test_projected_tiles_unproject_into_the_image(monkeypatch):
     # decoded to an array of their own and copied into place
     img = np.random.default_rng(59).integers(1, 256, (20, 20, 3), dtype=np.uint8)
     img[:, 3] = 0  # cropped columns 0-7 are original columns 0-2 and 4-8
-    placed = []
-    place = pipeline._place
-    monkeypatch.setattr(pipeline, "_place", lambda out, tile, *where: (
-        placed.append(where[:2]), place(out, tile, *where)))
+    placed, in_place = [], []
+    decode = pipeline._decode_tile
+
+    def decode_and_log(rec, payload, channels, max_width, dest=None):
+        tile = decode(rec, payload, channels, max_width, dest)
+        (in_place if tile is dest else placed).append((rec.row, rec.col))
+        return tile
+
+    monkeypatch.setattr(pipeline, "_decode_tile", decode_and_log)
     every_tile = [(row, col) for row in (0, 8, 16) for col in (0, 8, 16)]
     for projection, copied in ((True, [(0, 0), (8, 0), (16, 0)]), (False, every_tile)):
         config = CompressionConfig(patch_size=8, enable_projection=projection)
         for threads in (1, 2):
             placed.clear()
+            in_place.clear()
             assert (decompress(compress(img, config), threads=threads) == img).all()
             assert sorted(placed) == copied
+            assert sorted(in_place) == [tile for tile in every_tile if tile not in copied]
 
 
 def test_decompress_accepts_parsed_container():
