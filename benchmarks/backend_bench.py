@@ -9,12 +9,12 @@ stream of one 64x64x3 corpus tile, one call per tile as the codec makes them,
 timed over ``--size`` bytes of such calls, so per-call start-up counts too.
 
 Pixel stages: the native projection and bit-plane kernels must give the same
-output as their numpy references on a slide-like 256x256x3 tile, a
-corpus-like 64x64x3 tile and a 61x61x3 edge tile, whose pixel count is not a
-multiple of 8, so the bit-plane kernels' last, partial group of 8 pixels is
-timed too; then each kernel's throughput in MB/s of pixels is reported for
-each. Each array argument is timed in two layouts: with packed
-rows, as the codec passes it (projection reads a view of the image, the
+output as the pure module's numpy kernels of the same name on a slide-like
+256x256x3 tile, a corpus-like 64x64x3 tile and a 61x61x3 edge tile, whose
+pixel count is not a multiple of 8, so the bit-plane kernels' last, partial
+group of 8 pixels is timed too; then each kernel's throughput in MB/s of
+pixels is reported for each. Each array argument is timed in two layouts:
+with packed rows, as the codec passes it (projection reads a view of the image, the
 other stages whole arrays), and channel-reversed (``a[..., ::-1]``, as a
 BGR-to-RGB view gives), which the native wrapper copies before the kernel
 runs, so the cost of that copy is reported too.
@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from slidecodec import _lzw_py, bitplane, transform
+from slidecodec import _lzw_py
 from slidecodec.bitplane import to_bitplanes
 from slidecodec.synthetic import smooth_gradient_patch, wsi_like_image
 from slidecodec.transform import project
@@ -39,9 +39,10 @@ except ImportError:
     _lzw_native = None
 
 
-def _tile_to(data: bytes, size: int) -> bytes:
+def _tile_to(data, size: int) -> bytes:
+    """``size`` bytes of ``data``, any buffer, repeated."""
     reps = -(-size // len(data))
-    return (data * reps)[:size]
+    return (bytes(data) * reps)[:size]
 
 
 def workloads(seed: int, size: int) -> dict:
@@ -117,22 +118,22 @@ def stage_tiles(seed: int) -> dict:
 
 
 def stage_kernels():
-    """(name, numpy reference, native kernel, argument maker) per pixel stage;
+    """(name, pure kernel, native kernel, argument maker) per pixel stage;
     the argument maker takes the tile."""
     def residuals(tile):
-        return (transform.project(tile),)
+        return (project(tile),)
+
+    def unproject_args(tile):
+        r = project(tile)
+        return r, np.empty(r.shape, np.uint8)
 
     def stream(tile):
-        return (bitplane.to_bitplanes(transform.project(tile)), *tile.shape)
+        return (to_bitplanes(project(tile)), *tile.shape)
 
-    native = _lzw_native
-    return [
-        ("project", transform._project_numpy, native.project, lambda tile: (tile,)),
-        ("unproject", transform._unproject_numpy,
-         lambda r: native.unproject(r, np.empty(r.shape, np.uint8)), residuals),
-        ("to_bitplanes", bitplane._to_bitplanes_numpy, native.to_bitplanes, residuals),
-        ("from_bitplanes", bitplane._from_bitplanes_numpy, native.from_bitplanes, stream),
-    ]
+    makers = {"project": lambda tile: (tile,), "unproject": unproject_args,
+              "to_bitplanes": residuals, "from_bitplanes": stream}
+    return [(name, getattr(_lzw_py, name), getattr(_lzw_native, name), make)
+            for name, make in makers.items()]
 
 
 def bench_stages(size: int, repeats: int, seed: int) -> int:
@@ -149,8 +150,9 @@ def bench_stages(size: int, repeats: int, seed: int) -> int:
             if isinstance(packed[0], np.ndarray):
                 layouts.append(("channels reversed", (packed[0][..., ::-1], *packed[1:])))
             for layout, args in layouts:
-                # bytes from the bit-plane stage, arrays from the others
-                if not np.array_equal(np.asarray(memoryview(reference(*args))),
+                # memoryviews from the bit-plane stage, arrays from the others;
+                # a copy of the first, as both unproject into the same out
+                if not np.array_equal(np.array(memoryview(reference(*args))),
                                       np.asarray(memoryview(kernel(*args)))):
                     print(f"error: native {stage} differs from numpy on {tile_name!r}, "
                           f"{layout}", file=sys.stderr)

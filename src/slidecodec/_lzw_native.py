@@ -1,9 +1,9 @@
 """Native LZW kernels: ``_lzw.c`` built with the system C compiler, called via ctypes.
 
-Same interface as ``slidecodec._lzw_py`` (``encode``, ``decode``,
-``encode_trace``) and byte-identical to it. ctypes releases the interpreter
-lock for the length of each call, so patch workers overlap. ``decode``
-returns a memoryview of the numpy array the kernel wrote into; only the
+The same seven functions as ``slidecodec._lzw_py``, with the same signatures,
+and byte-identical to it. ctypes releases the interpreter lock for the length
+of each call, so patch workers overlap. ``decode`` and ``to_bitplanes``
+return a memoryview of the numpy array the kernel wrote into; only the
 encoder allocates its output in C.
 
 Importing this module loads the compiled library from a per-user cache
@@ -243,13 +243,13 @@ def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_bitplanes(r: np.ndarray) -> bytes:
+def to_bitplanes(r: np.ndarray) -> memoryview:
     """``bitplane.to_bitplanes`` of an (h, w, c) uint8 array, any strides."""
     r = _contiguous(r)
     h, w, c = r.shape
     planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
     _lib.px_to_bitplanes(r.ctypes.data, h, w, c, planes.ctypes.data)
-    return planes.tobytes()
+    return memoryview(planes)
 
 
 def from_bitplanes(stream, height: int, width: int, channels: int) -> np.ndarray:

@@ -1,6 +1,13 @@
-"""Pure-Python LZW kernels; the C kernels in _lzw.c mirror these.
+"""Pure-Python and numpy kernels; the C kernels in _lzw.c mirror these.
 
-Wire rules shared by both backends (and by the stream format):
+The same seven functions as ``slidecodec._lzw_native``, with the same
+signatures and byte-identical results: ``encode``, ``decode`` and
+``encode_trace`` for LZW, ``project``, ``unproject``, ``to_bitplanes`` and
+``from_bitplanes`` for the pixel stages. They are the fallback backend and
+the reference the native kernels are tested against. The callers in ``lzw``,
+``transform`` and ``bitplane`` check every argument first.
+
+LZW wire rules shared by both backends (and by the stream format):
 
 * codes 0-255 are byte literals, 256 = CLEAR, 257 = END, entries start at 258
 * greedy longest match; on a miss the pending code is emitted and the extended
@@ -14,6 +21,8 @@ Wire rules shared by both backends (and by the stream format):
 * every stream ends with END; the final partial byte is zero-padded
 """
 
+import numpy as np
+
 from .errors import CorruptStreamError, TruncatedStreamError
 
 CLEAR = 256
@@ -22,11 +31,11 @@ FIRST_CODE = 258
 MIN_WIDTH = 9
 
 
-def encode(data: bytes, max_width: int) -> bytes:
+def encode(data, max_width: int) -> bytes:
     return _encode(data, max_width, None)[0]
 
 
-def encode_trace(data: bytes, max_width: int) -> tuple:
+def encode_trace(data, max_width: int) -> tuple:
     """(packed bytes, emitted code list, peak next code) for ``data``."""
     codes: list[int] = []
     packed, peak = _encode(data, max_width, codes)
@@ -93,7 +102,7 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
     return bytes(out), max(peak, next_code)
 
 
-def decode(data: bytes, max_width: int, size: int) -> memoryview:
+def decode(data, max_width: int, size: int) -> memoryview:
     """Decode up to END into exactly ``size`` bytes, returned as a memoryview
     like the native kernel's, or raise CorruptStreamError."""
     capacity = 1 << max_width
@@ -156,3 +165,83 @@ def decode(data: bytes, max_width: int, size: int) -> memoryview:
         out += cur
         prev = cur
         have_prev = True
+
+
+def project(x: np.ndarray) -> np.ndarray:
+    d = np.empty(x.shape, dtype=np.uint8)
+    d[:1] = x[:1]
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    e = np.empty_like(d)
+    e[:, :1] = d[:, :1]
+    np.subtract(d[:, 1:], d[:, :-1], out=e[:, 1:])
+    if x.shape[2] == 3:
+        e[..., 1] -= e[..., 0]
+        e[..., 2] -= e[..., 0]
+    s = e.view(np.int8)
+    return ((s << 1) ^ (s >> 7)).view(np.uint8)
+
+
+def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    y = (r >> 1) ^ (0 - (r & 1))
+    if r.shape[2] == 3:
+        y[..., 1] += y[..., 0]
+        y[..., 2] += y[..., 0]
+    y = np.cumsum(y, axis=1, dtype=np.uint8)
+    # assigned, as the C kernel writes, whether out's rows overlap or not
+    out[...] = np.cumsum(y, axis=0, dtype=np.uint8, out=y)
+    return out
+
+
+# (mask, shift) of the three rounds of the 8x8 bit-matrix transpose.
+_ROUNDS = tuple(
+    (np.uint64(mask), np.uint64(shift))
+    for mask, shift in (
+        (0x00AA00AA00AA00AA, 7),  # swap 1x1 blocks across the diagonal
+        (0x0000CCCC0000CCCC, 14),  # then 2x2 blocks
+        (0x00000000F0F0F0F0, 28),  # then 4x4 blocks
+    )
+)
+
+
+def _transpose8x8(groups: np.ndarray) -> np.ndarray:
+    """Bit-transpose the 8x8 matrix held in each byte-group of a uint8 array.
+
+    ``groups`` has a last axis of 8 bytes per matrix, row 0 first; the result
+    has the same shape, with row j of each matrix holding its former column j.
+    """
+    # Big-endian view: byte 0 of a group (row 0) is the word's top byte on
+    # any host. The astype calls convert to and from native order.
+    x = groups.view(">u8").astype(np.uint64)
+    t = np.empty_like(x)
+    for mask, shift in _ROUNDS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x.astype(">u8").view(np.uint8)
+
+
+def to_bitplanes(r: np.ndarray) -> memoryview:
+    h, w, c = r.shape
+    npix = h * w
+    plane_len = (npix + 7) // 8
+    pixels = np.zeros((c, 8 * plane_len), dtype=np.uint8)  # zero pad pixels
+    pixels[:, :npix].reshape(c, h, w)[...] = r.transpose(2, 0, 1)
+    planes = _transpose8x8(pixels.reshape(c, plane_len, 8))
+    return memoryview(np.ascontiguousarray(planes.transpose(0, 2, 1)).reshape(-1))
+
+
+def from_bitplanes(stream, height: int, width: int, channels: int) -> np.ndarray:
+    npix = height * width
+    plane_len = (npix + 7) // 8
+    data = np.frombuffer(stream, dtype=np.uint8).reshape(channels, 8, plane_len)
+    groups = np.ascontiguousarray(data.transpose(0, 2, 1))
+    pixels = _transpose8x8(groups).reshape(channels, 8 * plane_len)
+    out = np.empty((height, width, channels), dtype=np.uint8)
+    # One channel at a time: numpy copies these 2-D strided slices several
+    # times faster than the equivalent single 3-D transposed copy.
+    for ch in range(channels):
+        out[:, :, ch] = pixels[ch, :npix].reshape(height, width)
+    return out

@@ -1,19 +1,21 @@
 """Dictionary coding stage: variable-width LZW over byte streams.
 
-Encoding and decoding dispatch to the C kernels in ``slidecodec._lzw_native``
-(compiled with the system C compiler on first import and cached, see that
-module), and fall back to the pure-Python kernels in ``slidecodec._lzw_py``
-when no library can be built or loaded, or when the ``SLIDECODEC_PURE``
-environment variable is set (then nothing is compiled). Both backends produce
-byte-identical streams; ``BACKEND`` names the one in use.
-
-The same switch picks the pixel-stage kernels: ``native`` is the loaded
-``_lzw_native`` module, whose C projection and bit-plane kernels
-``transform`` and ``bitplane`` call, or None when the pure backends run.
+This module also chooses, once, the kernel module behind every stage:
+``slidecodec._lzw_native`` (C kernels compiled with the system C compiler on
+first import and cached, see that module), or the pure-Python and numpy
+kernels of ``slidecodec._lzw_py`` when no library can be built or loaded, or
+when the ``SLIDECODEC_PURE`` environment variable is set (then nothing is
+compiled). Both modules define the same seven functions with the same
+results: LZW here, and the projection and bit-plane kernels that
+``transform`` and ``bitplane`` look up as ``lzw._kernel`` on each call. The
+C kernels release the interpreter lock for each call. ``BACKEND`` names the
+module in use.
 """
 
 import os
 from typing import NamedTuple
+
+import numpy as np
 
 from . import _lzw_py
 from ._lzw_py import CLEAR, END, MIN_WIDTH
@@ -32,15 +34,23 @@ __all__ = [
 
 DEFAULT_MAX_WIDTH = 16
 
-if os.environ.get("SLIDECODEC_PURE"):
-    native = None
-else:
+_kernel = _lzw_py
+if not os.environ.get("SLIDECODEC_PURE"):
     try:
-        from . import _lzw_native as native
+        from . import _lzw_native as _kernel
     except ImportError:
-        native = None
-_kernel = native or _lzw_py
-BACKEND = "native" if native else "python"
+        pass
+BACKEND = "python" if _kernel is _lzw_py else "native"
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an integer (an int or a
+    numpy integer, not a bool) in [low, high], or of at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f"of at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 class CodeTrace(NamedTuple):
@@ -57,16 +67,11 @@ class CodeTrace(NamedTuple):
     peak_next_code: int
 
 
-def _check_width(max_width: int) -> None:
-    if not 9 <= max_width <= 20:
-        raise ValueError(f"max_width must be in [9, 20], got {max_width}")
-
-
 def _flat(view: memoryview):
     """The bytes of ``view`` as one flat byte buffer, copied only when they are
     not contiguous; a view of a whole bytes object is that object."""
     if not view.c_contiguous:
-        return view.tobytes()
+        return np.asarray(view).tobytes()  # numpy gathers strides far faster
     if type(view.obj) is bytes and view.nbytes == len(view.obj):
         return view.obj
     return view if view.ndim == 1 and view.format == "B" else view.cast("B")
@@ -75,7 +80,7 @@ def _flat(view: memoryview):
 def lzw_encode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
     """Encode a byte string, or any buffer's bytes in C order; empty input
     encodes to just the END code."""
-    _check_width(max_width)
+    max_width = check_int("max_width", max_width, 9, 20)
     return _kernel.encode(_flat(memoryview(data)), max_width)
 
 
@@ -103,9 +108,8 @@ def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) ->
     flat byte memoryview. Decoding raises CorruptStreamError as soon as a
     code would pass ``size``, or when END arrives short of it.
     """
-    _check_width(max_width)
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+    max_width = check_int("max_width", max_width, 9, 20)
+    size = check_int("size", size, 0)
     view = memoryview(data)
     check_decoded_size(view.nbytes, size)
     return _kernel.decode(_flat(view), max_width, size)
@@ -117,6 +121,6 @@ def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTra
     Runs on the active backend; the packed bytes are identical to
     :func:`lzw_encode`'s output.
     """
-    _check_width(max_width)
+    max_width = check_int("max_width", max_width, 9, 20)
     packed, codes, peak = _kernel.encode_trace(_flat(memoryview(data)), max_width)
     return CodeTrace(tuple(codes), packed, MIN_WIDTH, max_width, peak)

@@ -46,7 +46,7 @@ from .container import (
     write_container,
 )
 from .errors import CodecError, StructuralError, UnsupportedLayoutError
-from .lzw import DEFAULT_MAX_WIDTH, check_decoded_size, lzw_decode, lzw_encode
+from .lzw import DEFAULT_MAX_WIDTH, check_decoded_size, check_int, lzw_decode, lzw_encode
 from .transform import project, unproject
 
 __all__ = [
@@ -71,10 +71,8 @@ class CompressionConfig:
     lzw_max_width: int = DEFAULT_MAX_WIDTH
 
     def __post_init__(self):
-        if not 1 <= self.patch_size <= 2**32 - 1:  # a u32 in the container
-            raise ValueError(f"patch_size {self.patch_size} outside [1, 2**32 - 1]")
-        if not 9 <= self.lzw_max_width <= 20:
-            raise ValueError(f"lzw_max_width {self.lzw_max_width} outside [9, 20]")
+        check_int("patch_size", self.patch_size, 1, 2**32 - 1)  # a u32 in the container
+        check_int("lzw_max_width", self.lzw_max_width, 9, 20)
 
 
 @dataclass(frozen=True)
@@ -220,17 +218,16 @@ def strip_alpha(image):
 
 
 def _stage_chain(tile, config):
-    """(stage mask, array after projection, stream entering LZW) for one tile."""
+    """(stage mask, array after projection, stream entering LZW) for one tile;
+    the stream is that array itself when bit-planes are off."""
     mask = STAGE_LZW
-    arr = tile
+    arr = stream = tile
     if config.enable_projection:
-        arr = project(arr)
+        arr = stream = project(arr)
         mask |= STAGE_PROJECTION
     if config.enable_bitplane:
         stream = to_bitplanes(arr)
         mask |= STAGE_BITPLANE
-    else:
-        stream = arr.tobytes()
     return mask, arr, stream
 
 
@@ -273,11 +270,6 @@ def _decode_tile(record, payload, channels, max_width, dest=None):
         raise _in_patch(record, exc) from exc
 
 
-def _check_threads(threads):
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
-
-
 def _run(jobs, worker, threads):
     """``[worker(j) for j in jobs]`` on up to ``threads`` threads, caller included.
 
@@ -318,7 +310,7 @@ def _run(jobs, worker, threads):
 
 def compress(image, config=None, threads=1) -> bytes:
     """Compress an image into container bytes; inverse of :func:`decompress`."""
-    _check_threads(threads)
+    check_int("threads", threads, 1)
     config = config or CompressionConfig()
     image = _check_image(image)
     alpha_dropped = False
@@ -366,7 +358,7 @@ def decompress(data, threads=1) -> np.ndarray:
     the crop lists increasing and in range and the tiles disjoint, so tile
     threads never write the same pixel.
     """
-    _check_threads(threads)
+    check_int("threads", threads, 1)
     cont = data if isinstance(data, Container) else read_container(data)
     hdr = cont.header
     for rec, payload in zip(cont.records, cont.payloads):

@@ -17,17 +17,14 @@ in 8-bit arithmetic: (s << 1) ^ (s >> 7) on the int8 view, with an arithmetic
 right shift, and (u >> 1) ^ (0 - (u & 1)) modulo 256 for the inverse.
 
 Inversion undoes the passes in reverse order, each via a modular cumulative
-sum, and is exact for every input. Both directions accept strided views.
-
-Both directions run as one call into the C kernels of ``_lzw_native`` when
-``lzw`` loaded them, which release the interpreter lock for the whole tile;
-otherwise, and as the reference they are tested against, in numpy.
+sum, and is exact for every input. Both directions accept strided views, and
+each is one call into the kernel module that ``lzw`` chose.
 """
 
 import numpy as np
 
+from . import lzw
 from .errors import StructuralError, UnsupportedLayoutError
-from .lzw import native
 
 __all__ = ["zigzag", "unzigzag", "project", "unproject"]
 
@@ -65,10 +62,7 @@ def project(patch: np.ndarray) -> np.ndarray:
     Supports 1 or 3 channels; the channel pass is skipped for single-channel
     input. Output has the same shape as the input.
     """
-    x = _check_patch(patch, (1, 3))
-    if native:
-        return native.project(x)
-    return _project_numpy(x)
+    return lzw._kernel.project(_check_patch(patch, (1, 3)))
 
 
 def unproject(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,42 +73,11 @@ def unproject(residuals: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     returned; otherwise into a new array.
     """
     r = _check_patch(residuals, (1, 3))
-    if out is not None:
-        if not (isinstance(out, np.ndarray) and out.dtype == np.uint8
-                and out.shape == r.shape and out.flags.writeable):
-            raise ValueError(f"out must be a writeable uint8 array of shape {r.shape}")
-        if np.may_share_memory(r, out):
-            r = r.copy()
-    if native:
-        return native.unproject(r, np.empty(r.shape, dtype=np.uint8) if out is None else out)
     if out is None:
-        return _unproject_numpy(r)
-    out[...] = _unproject_numpy(r)  # as the native kernel writes, rows overlapping or not
-    return out
-
-
-# The numpy implementations: the pure backend, and the reference the native
-# kernels are tested against.
-
-
-def _project_numpy(x: np.ndarray) -> np.ndarray:
-    d = np.empty(x.shape, dtype=np.uint8)
-    d[:1] = x[:1]
-    np.subtract(x[1:], x[:-1], out=d[1:])
-    e = np.empty_like(d)
-    e[:, :1] = d[:, :1]
-    np.subtract(d[:, 1:], d[:, :-1], out=e[:, 1:])
-    if x.shape[2] == 3:
-        e[..., 1] -= e[..., 0]
-        e[..., 2] -= e[..., 0]
-    s = e.view(np.int8)
-    return ((s << 1) ^ (s >> 7)).view(np.uint8)
-
-
-def _unproject_numpy(r: np.ndarray) -> np.ndarray:
-    y = (r >> 1) ^ (0 - (r & 1))
-    if r.shape[2] == 3:
-        y[..., 1] += y[..., 0]
-        y[..., 2] += y[..., 0]
-    y = np.cumsum(y, axis=1, dtype=np.uint8)
-    return np.cumsum(y, axis=0, dtype=np.uint8, out=y)
+        out = np.empty(r.shape, dtype=np.uint8)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.uint8
+              and out.shape == r.shape and out.flags.writeable):
+        raise ValueError(f"out must be a writeable uint8 array of shape {r.shape}")
+    elif np.may_share_memory(r, out):
+        r = r.copy()
+    return lzw._kernel.unproject(r, out)

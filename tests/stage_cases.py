@@ -1,23 +1,20 @@
-"""Pixel-stage inputs for the native-versus-numpy identity checks.
+"""Pixel-stage inputs for the native-versus-pure identity checks.
 
-Each ``check_*`` function runs one or two of the native pixel-stage kernels
-(``project``, ``unproject``, ``to_bitplanes``, ``from_bitplanes`` of a
-``_lzw_native`` module) on one input and asserts the output of the numpy
-reference in ``transform`` or ``bitplane``. ``unproject`` also writes into
-views of a larger array, whose bytes outside the view must stay as they
-were. ``project``'s input and ``unproject``'s output reach the kernels in
-place when their rows are packed (contiguous, or rows reversed, which gives
-a negative row stride); every other layout, and any non-contiguous input to
-``unproject`` or ``to_bitplanes``, goes through the wrapper's one copy.
+Each ``check_*`` function runs one or two of the pixel-stage kernels
+(``project``, ``unproject``, ``to_bitplanes``, ``from_bitplanes``) of a
+``_lzw_native`` module and of the pure ``_lzw_py`` module on one input and
+asserts that they agree. ``unproject`` also writes into views of a larger
+array, whose bytes outside the view must stay as they were. ``project``'s
+input and ``unproject``'s output reach the native kernels in place when their
+rows are packed (contiguous, or rows reversed, which gives a negative row
+stride); every other layout, and any non-contiguous input to ``unproject``
+or ``to_bitplanes``, goes through the wrapper's one copy.
 ``tests/test_native_stages.py`` drives these checks with Hypothesis;
 :func:`check_stages` runs a seeded batch of them, which ``tests/test_lzw.py``
 runs on kernels built with UBSan and with AddressSanitizer.
 """
 
 import numpy as np
-
-from slidecodec.bitplane import _from_bitplanes_numpy, _to_bitplanes_numpy
-from slidecodec.transform import _project_numpy, _unproject_numpy
 
 LAYOUTS = ("contiguous", "rows reversed", "columns reversed", "strided", "channels reversed")
 
@@ -50,38 +47,42 @@ def out_views(h, w):
     ]
 
 
-def check_project(native, x):
-    assert np.array_equal(native.project(x), _project_numpy(x))
+def check_project(native, pure, x):
+    assert np.array_equal(native.project(x), pure.project(x))
 
 
-def check_unproject(native, r, rng):
-    expect = _unproject_numpy(r)
+def check_unproject(native, pure, r, rng):
+    expect = pure.unproject(r, np.empty(r.shape, dtype=np.uint8))
     assert np.array_equal(native.unproject(r, np.empty(r.shape, dtype=np.uint8)), expect)
     h, w, c = r.shape
-    for where in out_views(h, w):
-        canvas = rng.integers(0, 256, (2 * h + 4, 3 * w + 6, c), dtype=np.uint8)
-        want = canvas.copy()
-        want[where] = expect
-        view = canvas[where]
-        assert native.unproject(r, view) is view
-        assert np.array_equal(canvas, want), where  # the view, and nothing else
+    for kernel in (native, pure):
+        for where in out_views(h, w):
+            canvas = rng.integers(0, 256, (2 * h + 4, 3 * w + 6, c), dtype=np.uint8)
+            want = canvas.copy()
+            want[where] = expect
+            view = canvas[where]
+            assert kernel.unproject(r, view) is view
+            assert np.array_equal(canvas, want), where  # the view, and nothing else
 
 
-def check_bitplanes(native, r, rng):
+def check_bitplanes(native, pure, r, rng):
     h, w, c = r.shape
     stream = native.to_bitplanes(r)
-    assert stream == _to_bitplanes_numpy(r)
+    expect = pure.to_bitplanes(r)
+    for given in (stream, expect):  # a flat byte view of the planes, from either
+        assert type(given) is memoryview and given.format == "B" and given.ndim == 1
+    assert stream == expect
     assert np.array_equal(native.from_bitplanes(stream, h, w, c),
-                          _from_bitplanes_numpy(stream, h, w, c))
+                          pure.from_bitplanes(stream, h, w, c))
     # any bytes, pad bits included, decode alike: as bytes, as a writable
     # view like the decoder's output (empty when c is 0) and as a read-only one
     noise = rng.integers(0, 256, len(stream), dtype=np.uint8).tobytes()
-    want = _from_bitplanes_numpy(noise, h, w, c)
+    want = pure.from_bitplanes(noise, h, w, c)
     for given in (noise, memoryview(bytearray(noise)), memoryview(noise)):
         assert np.array_equal(native.from_bitplanes(given, h, w, c), want)
 
 
-def check_stages(native, rng, count):
+def check_stages(native, pure, rng, count):
     """``count`` random shapes up to 40x40, each in every layout, through all
     four kernels: 1 and 3 channels for projection, 0 to 4 for bit-planes."""
     for _ in range(count):
@@ -89,7 +90,7 @@ def check_stages(native, rng, count):
         for layout in LAYOUTS:
             for c in (1, 3):
                 x = array(rng, h, w, c, layout)
-                check_project(native, x)
-                check_unproject(native, x, rng)
+                check_project(native, pure, x)
+                check_unproject(native, pure, x, rng)
             for c in range(5):
-                check_bitplanes(native, array(rng, h, w, c, layout), rng)
+                check_bitplanes(native, pure, array(rng, h, w, c, layout), rng)

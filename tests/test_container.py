@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadline import deadline
 from slidecodec.container import (
@@ -20,12 +22,14 @@ from slidecodec.container import (
 )
 from slidecodec.errors import (
     BadMagicError,
+    CodecError,
     IndexInconsistencyError,
     StructuralError,
     TruncatedStreamError,
     UnsupportedVersionError,
 )
-from slidecodec.pipeline import CompressionConfig, compress
+from slidecodec.pipeline import CompressionConfig, compress, decompress
+from slidecodec.synthetic import corpus
 
 
 def small_container(payload=b"\x01\x02", height=2, width=3, channels=1,
@@ -280,3 +284,34 @@ def test_index_checked_before_tiling_a_huge_claim(make):
     with deadline(1.0), pytest.raises(IndexInconsistencyError):
         read_container(blob)
     assert time.perf_counter() - start < 1.0
+
+
+# A 40x36 corner of corpus image 0 with a margin row, an interior row and an
+# interior column emptied, so the crop lists are mutated too, at a patch size
+# with many small records and at one with a few larger ones.
+_CORNER = corpus(1, seed=0)[0][100:140, 100:136].copy()
+_CORNER[[0, 17]] = 0
+_CORNER[:, 30] = 0
+_MUTABLE = {p: compress(_CORNER, CompressionConfig(patch_size=p)) for p in (8, 32)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_MUTABLE)), st.sampled_from(["flip", "truncate", "extend"]),
+       st.data())
+def test_mutated_container_decodes_or_raises_a_codec_error(patch, kind, data):
+    # version 1 has no checksum, so a mutation may also decode to wrong
+    # pixels; what it may not do is raise anything else or run long
+    blob = bytearray(_MUTABLE[patch])
+    if kind == "flip":
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    try:
+        with deadline(1.0):
+            out = decompress(bytes(blob))
+    except CodecError:
+        return
+    assert isinstance(out, np.ndarray) and out.dtype == np.uint8 and out.ndim == 3

@@ -255,6 +255,18 @@ def test_backends_byte_identical():
     assert_identical(_lzw_native, _lzw_py, short_cases(rng), damaged_cases(rng) + edge_cases())
 
 
+@pytest.mark.parametrize("bad", [16.0, True, "16", None])
+def test_widths_and_sizes_must_be_integers(kernel, monkeypatch, bad):
+    monkeypatch.setattr(lzw_module, "_kernel", kernel)
+    packed = lzw_encode(b"abc")
+    for call in (lambda: lzw_encode(b"abc", bad), lambda: lzw_encode_trace(b"abc", bad),
+                 lambda: lzw_decode(packed, bad, size=3), lambda: lzw_decode(packed, size=bad)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # numpy integers count, and reach the kernel as ints: 1 << np.uint8(16) is 0
+    assert lzw_decode(lzw_encode(b"abc", np.uint8(16)), np.int64(16), size=np.uint8(3)) == b"abc"
+
+
 def test_edge_cases_decode_to_their_size(kernel):
     for stream, width, size in edge_cases():
         assert len(kernel.decode(stream, width, size)) == size
@@ -362,7 +374,7 @@ def _identity_under(tmp_path, sanitize, **env_extra):
         "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases() + run_cases(),\n"
         "                 damaged_cases(rng) + edge_cases())\n"
         "from stage_cases import check_stages\n"
-        "check_stages(_lzw_native, np.random.default_rng(37), 25)\n"
+        "check_stages(_lzw_native, _lzw_py, np.random.default_rng(37), 25)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=300)

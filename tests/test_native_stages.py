@@ -1,8 +1,10 @@
-"""The native pixel-stage kernels against their numpy references.
+"""The native kernel module against the pure one: one interface, the same results.
 
 The native module is imported directly, so these run, and build the kernel,
-even when ``SLIDECODEC_PURE`` makes the codec itself use numpy.
+even when ``SLIDECODEC_PURE`` makes the codec itself use the pure kernels.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
-from slidecodec import bitplane, lzw, transform
+from slidecodec import _lzw_py, lzw, transform
 from slidecodec.pipeline import CompressionConfig, compress, decompress
-from slidecodec.transform import _unproject_numpy, unproject
+from slidecodec.transform import unproject
 
 from stage_cases import LAYOUTS, array, check_bitplanes, check_project, check_unproject
 
@@ -37,25 +39,33 @@ seeds = st.integers(0, 2**32 - 1)
 @settings(max_examples=150, deadline=None)
 @given(sides, sides, st.sampled_from([1, 3]), layouts, seeds)
 def test_project_matches_numpy(native, h, w, c, layout, seed):
-    check_project(native, array(np.random.default_rng(seed), h, w, c, layout))
+    check_project(native, _lzw_py, array(np.random.default_rng(seed), h, w, c, layout))
 
 
 @settings(max_examples=150, deadline=None)
 @given(sides, sides, st.sampled_from([1, 3]), layouts, seeds)
 def test_unproject_matches_numpy_in_place_too(native, h, w, c, layout, seed):
     rng = np.random.default_rng(seed)
-    check_unproject(native, array(rng, h, w, c, layout), rng)
+    check_unproject(native, _lzw_py, array(rng, h, w, c, layout), rng)
 
 
 @settings(max_examples=150, deadline=None)
 @given(sides, sides, st.integers(0, 4), layouts, seeds)
 def test_bitplanes_match_numpy(native, h, w, c, layout, seed):
     rng = np.random.default_rng(seed)
-    check_bitplanes(native, array(rng, h, w, c, layout), rng)
+    check_bitplanes(native, _lzw_py, array(rng, h, w, c, layout), rng)
+
+
+def test_backends_share_one_interface(native):
+    names = ("encode", "decode", "encode_trace", "project", "unproject", "to_bitplanes",
+             "from_bitplanes")
+    for name in names:
+        assert inspect.signature(getattr(native, name)) == \
+            inspect.signature(getattr(_lzw_py, name)), name
 
 
 def test_codec_uses_the_loaded_backend():
-    assert (lzw.native is not None) == (lzw.BACKEND == "native")
+    assert (lzw._kernel is not _lzw_py) == (lzw.BACKEND == "native")
 
 
 def test_unproject_out_is_checked():
@@ -80,11 +90,11 @@ def test_unproject_into_rows_that_overlap(native, monkeypatch):
     # patch into the same view, from the native kernel and the pure backend
     rng = np.random.default_rng(41)
     r = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
-    monkeypatch.setattr(transform, "native", None)
+    monkeypatch.setattr(lzw, "_kernel", _lzw_py)
     for strides in ((6, 3, 1), (0, 3, 1), (3, 3, 1)):
         canvas = rng.integers(0, 256, 60, dtype=np.uint8)
         want = canvas.copy()
-        as_strided(want, r.shape, strides)[...] = _unproject_numpy(r)
+        as_strided(want, r.shape, strides)[...] = _lzw_py.unproject(r, np.empty_like(r))
         for run in (native.unproject, transform.unproject):
             got = canvas.copy()
             view = as_strided(got, r.shape, strides)
@@ -101,8 +111,7 @@ def test_codec_tiles_are_never_copied(native, monkeypatch):
     copied = []
     copy = native._copy
     monkeypatch.setattr(native, "_copy", lambda a: copied.append(a.shape) or copy(a))
-    monkeypatch.setattr(transform, "native", native)
-    monkeypatch.setattr(bitplane, "native", native)
+    monkeypatch.setattr(lzw, "_kernel", native)
     rng = np.random.default_rng(42)
     for c in (1, 3):
         for cols, gap in ((slice(0, 61), []), (slice(2, 59), []), (slice(2, 59), [30])):

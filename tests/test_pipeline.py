@@ -437,6 +437,10 @@ def test_decompressed_dtype_and_shape():
     {"patch_size": 2**33},
     {"lzw_max_width": 8},
     {"lzw_max_width": 21},
+    {"patch_size": 4.0},  # integers only, as for threads
+    {"patch_size": True},
+    {"lzw_max_width": 16.0},
+    {"lzw_max_width": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
