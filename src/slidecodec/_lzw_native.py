@@ -234,9 +234,9 @@ def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``transform.unproject`` of ``r`` into ``out``, same shape, no shared memory."""
     r = _contiguous(r)
     h, w, c = r.shape
-    # rows that overlap each other are not packed for writing; a copy's
-    # bytes are all overwritten, then assigned to out
-    y = out if _packed(out) and (abs(out.strides[0]) >= w * c or h == 1) else _copy(out)
+    # rows that overlap each other are not packed for writing
+    y = (out if _packed(out) and (abs(out.strides[0]) >= w * c or h == 1)
+         else np.empty(out.shape, np.uint8))
     _check(_lib.px_unproject(r.ctypes.data, h, w, c, y.ctypes.data, y.strides[0]))
     if y is not out:
         out[...] = y

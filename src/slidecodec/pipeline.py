@@ -90,7 +90,7 @@ class CropResult:
     original_width: int
 
 
-def _check_image(image, channels=(1, 3, 4)):
+def _check_image(image):
     if not isinstance(image, np.ndarray) or image.dtype != np.uint8:
         raise UnsupportedLayoutError("image must be a uint8 ndarray")
     if image.ndim != 3:
@@ -100,7 +100,7 @@ def _check_image(image, channels=(1, 3, 4)):
     h, w, c = image.shape
     if h < 1 or w < 1:
         raise UnsupportedLayoutError(f"image dimensions must be positive, got {h}x{w}")
-    if c not in channels:
+    if c not in (1, 3, 4):
         raise UnsupportedLayoutError(f"unsupported channel count {c}")
     return image
 
@@ -180,8 +180,8 @@ def uncrop(result: CropResult) -> np.ndarray:
     its place in the full image through the same rule, :func:`_blocks`.
     """
     cropped = result.cropped
-    if not isinstance(cropped, np.ndarray) or cropped.ndim != 3:
-        raise StructuralError("cropped image must be height x width x channels")
+    if not isinstance(cropped, np.ndarray) or cropped.dtype != np.uint8 or cropped.ndim != 3:
+        raise StructuralError("cropped image must be a uint8 height x width x channels array")
     h, w = result.original_height, result.original_width
     ch, cw, nchan = cropped.shape
     if ch + len(result.removed_rows) != h or cw + len(result.removed_cols) != w:
@@ -191,8 +191,11 @@ def uncrop(result: CropResult) -> np.ndarray:
             f"does not give {h}x{w}"
         )
     for removed, n in ((result.removed_rows, h), (result.removed_cols, w)):
-        if not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in removed):
-            raise StructuralError(f"removed indices must be integers in [0, {n})")
+        try:
+            for i in removed:
+                check_int("removed index", i, 0, n - 1)
+        except ValueError as exc:
+            raise StructuralError(f"removed indices must be integers in [0, {n})") from exc
     kept_rows = _kept_lines(result.removed_rows, h)
     kept_cols = _kept_lines(result.removed_cols, w)
     if len(kept_rows) != ch or len(kept_cols) != cw:

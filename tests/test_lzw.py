@@ -433,15 +433,3 @@ def test_fresh_build_removes_stale_libraries(tmp_path):
     gone = len(stale) - (_lzw_native.KEEP_LIBRARIES - 1)
     assert not any(lib.exists() for lib in stale[:gone])
     assert all(lib.exists() for lib in stale[gone:])
-
-
-def test_backend_bench_runs():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, os.path.join(root, "benchmarks", "backend_bench.py"),
-         "--size", "4096", "--repeats", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr

@@ -104,12 +104,21 @@ def test_uncrop_margins_and_interior_gaps():
     assert (uncrop(res) == img).all()
 
 
-# a row out of range, a column out of range, too many rows, too few columns
-@pytest.mark.parametrize("rows, cols", [((9,), (1,)), ((0,), (7,)), ((0, 0), (1,)), ((0,), ())])
+# a row out of range, a column out of range, too many rows, too few columns,
+# and a bool, which is no index, for a row and for a column
+@pytest.mark.parametrize("rows, cols", [((9,), (1,)), ((0,), (7,)), ((0, 0), (1,)), ((0,), ()),
+                                        ((True,), (1,)), ((0,), (False,))])
 def test_uncrop_rejects_bad_metadata(rows, cols):
     cropped = np.ones((2, 4, 1), dtype=np.uint8)
     with pytest.raises(StructuralError):
         uncrop(CropResult(cropped, rows, cols, 3, 5))
+
+
+# values a cast to uint8 would change: 300 to 44, 1.9 to 1
+@pytest.mark.parametrize("cropped", [np.full((2, 4, 1), 300), np.full((2, 4, 1), 1.9)])
+def test_uncrop_rejects_a_cropped_image_that_is_not_uint8(cropped):
+    with pytest.raises(StructuralError):
+        uncrop(CropResult(cropped, (0,), (1,), 3, 5))
 
 
 def test_crop_matches_scalar_rule():
