@@ -17,13 +17,17 @@
    the LZW_* status codes and fill an lzw_result; the pixel stages write
    into the caller's arrays, and only the projection ones can fail.
 
-   The encoder keeps its dictionary in two structures. Runs of one byte,
+   The encoder keeps its dictionary in three structures. Runs of one byte,
    the bulk of bit-plane streams, live on a run ladder per byte value: the
    codes of the phrases b, bb, bbb, ... up to the longest in the dictionary.
    A run is measured a word at a time and climbs its ladder one step per
-   emitted code, never through the hash table; every other phrase goes
-   through an open-addressing hash table. Only the dictionary's structure
-   differs from _lzw_py.py, not its contents, so the codes are the same. */
+   emitted code, never through the hash table. On streams of at least
+   PAIR_MIN_LEN bytes, the two-byte phrases p b with b != p, reached by the
+   step out of a literal that starts every phrase, live in a dense 256x256
+   pair table, one load each, whose entries carry an epoch so that a CLEAR
+   need not zero it. Every other phrase goes through an open-addressing hash
+   table. Only the dictionary's structure differs from _lzw_py.py, not its
+   contents, so the codes are the same. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -195,19 +199,38 @@ static size_t run_length(const uint8_t *p, size_t n, uint8_t b)
     return r;
 }
 
+/* The pair table's entries: pair[p << 8 | b] holds the code of the phrase
+   of the literal p and the byte b != p in its low CODE_BITS bits (codes
+   stay below 2**20) and the table's epoch in the 12 bits above. Only
+   entries of the current epoch are in the dictionary, so a CLEAR empties
+   the table by counting the epoch up and zeroes it only when the epoch
+   would overflow, at every 4095th CLEAR: at width 9 a CLEAR comes every
+   254 codes, and zeroing 256 KiB at each one would halve the encoder's
+   speed on raw bytes. Epoch 0 is never current, so a zeroed table is empty.
+
+   The table is allocated only for streams of at least PAIR_MIN_LEN bytes,
+   one per entry: its 256 KiB calloc costs a 12 KB stream more than the
+   faster literal steps save there. */
+enum { CODE_BITS = 20, CODE_MASK = (1 << CODE_BITS) - 1, PAIR_MIN_LEN = 1 << 16 };
+
 /* Encode src[0:n]. codes may be NULL; otherwise it must hold
    lzw_max_codes(n, max_width) entries. On LZW_OK *out holds res->len bytes.
 
-   The dictionary lives in two structures that together hold each entry
+   The dictionary lives in three structures that together hold each entry
    once. A pure run b^(k+1), which extends the phrase b^k by another b,
-   goes on b's ladder and never into the hash table; every other entry,
-   (prefix_code << 8 | byte) -> code, goes into the hash table. Which one a
-   transition uses follows from the pending phrase: a pure run longer than
+   goes on b's ladder; with a pair table, an entry that extends a literal p
+   by a byte b != p goes there; every other entry, (prefix_code << 8 |
+   byte) -> code, goes into the hash table. Which one a transition uses
+   follows from the pending phrase. Each phrase starts at a literal, after
+   every emitted code, or at a pure run after a jump up a ladder, so a
+   literal is pending only at a phrase's first step: with a pair table that
+   step, on raw bytes half of all steps, is one load before the hash loop,
+   and the hash loop only ever sees longer phrases. A pure run longer than
    one byte is only ever entered from the ladder, and only where its run
    ends, so the one pending phrase that can be extended by its run byte is
    a literal b followed by b, that is, a byte equal to the pending code.
    The hash loop is a tight inner loop that leaves only on a miss or on
-   that compare, so it pays nothing else for the ladder.
+   that compare, so it pays nothing else for the ladder or the pair table.
 
    From a pending literal b with more b's ahead, the run is measured up to
    top bytes, a word at a time. If it is shorter than that, the pending
@@ -216,12 +239,15 @@ static size_t run_length(const uint8_t *p, size_t n, uint8_t b)
    b^(top+1), or emits CLEAR when the dictionary is full. Either way a run
    costs one step per code emitted, not a probe per byte, and the codes are
    the ones the byte-at-a-time greedy parse of _lzw_py.py emits. A CLEAR
-   empties the hash table and sets every ladder's top back to 1. */
+   empties the hash table and the pair table and sets every ladder's top
+   back to 1. */
 int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
                uint8_t **out, lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     table t;
+    uint32_t *pair = n >= PAIR_MIN_LEN ? calloc(256 * 256, sizeof *pair) : NULL;
+    uint32_t epoch = 1;
     ladder runs[256] = {{0}};
     writer w = {0};
     w.cap = n + n / 8 + 64;
@@ -231,7 +257,7 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
         runs[b].top = 1;
 
     int status = LZW_NOMEM;
-    if (table_init(&t, table_start_bits(n)) || !w.buf)
+    if (table_init(&t, table_start_bits(n)) || (n >= PAIR_MIN_LEN && !pair) || !w.buf)
         goto done;
 
     int width = MIN_WIDTH;
@@ -242,6 +268,16 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
         int32_t b = src[i];
         uint32_t key = 0;
         size_t h = 0;
+        /* with a pair table, the step out of a literal to another byte */
+        if (pair && prev < 256 && b != prev) {
+            const uint32_t e = pair[prev << 8 | b];
+            if (e >> CODE_BITS != epoch)
+                goto miss;
+            prev = (int32_t)(e & CODE_MASK);
+            if (++i == n)
+                goto flush;
+            b = src[i];
+        }
         /* hash transitions, until a miss or a literal followed by itself */
         while (b != prev) {
             key = ((uint32_t)prev << 8) | (uint32_t)b;
@@ -268,9 +304,12 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
             if (next_code < capacity && ladder_push(l, next_code))
                 goto done;
         } else {
+        miss:
             if (put(&w, width, prev))
                 goto done;
-            if (next_code < capacity) {
+            if (next_code < capacity && prev < 256 && pair) {
+                pair[prev << 8 | b] = epoch << CODE_BITS | (uint32_t)next_code;
+            } else if (next_code < capacity) {
                 if (2 * (t.used + 1) > (size_t)1 << t.bits) {
                     if (table_grow(&t))
                         goto done;
@@ -290,6 +329,10 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
                 goto done;
             memset(t.keys, 0, ((size_t)1 << t.bits) * sizeof *t.keys);
             t.used = 0;
+            if (pair && ++epoch >> (32 - CODE_BITS)) {
+                memset(pair, 0, 256 * 256 * sizeof *pair);
+                epoch = 1;
+            }
             for (int c = 0; c < 256; c++)
                 runs[c].top = 1;
             peak = capacity;
@@ -323,6 +366,7 @@ flush:
 done:
     free(t.keys);
     free(t.vals);
+    free(pair);
     for (int b = 0; b < 256; b++)
         free(runs[b].codes);
     if (status == LZW_OK) {

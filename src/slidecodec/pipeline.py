@@ -29,6 +29,7 @@ around those calls, and each call's thread start-up.
 
 import threading
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +183,13 @@ def uncrop(result: CropResult) -> np.ndarray:
     cropped = result.cropped
     if not isinstance(cropped, np.ndarray) or cropped.dtype != np.uint8 or cropped.ndim != 3:
         raise StructuralError("cropped image must be a uint8 height x width x channels array")
-    h, w = result.original_height, result.original_width
+    try:
+        h = check_int("original height", result.original_height, 0)
+        w = check_int("original width", result.original_width, 0)
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from exc
+    if not all(isinstance(r, Sequence) for r in (result.removed_rows, result.removed_cols)):
+        raise StructuralError("removed rows and columns must be sequences of indices")
     ch, cw, nchan = cropped.shape
     if ch + len(result.removed_rows) != h or cw + len(result.removed_cols) != w:
         raise StructuralError(

@@ -61,7 +61,10 @@ def reset_cases():
     Real slide bit-plane streams (``to_bitplanes(project(tile))`` of two
     256x256 tiles) clear it at widths 9 and 12. A 250,000-byte random stream
     that is 65% zero, like slide bit-planes, clears it at widths 12 and 16
-    and emits codes above 2**16 at width 20.
+    and emits codes above 2**16 at width 20. 2**17 uniform random bytes, long
+    enough for the encoder's pair table and stepping out of a one-byte phrase
+    at most steps, clear it 512 times at width 9 and put codes above 2**16 in
+    that table at width 20. Last, :func:`stale_pair_case`.
     """
     slide = wsi_like_image(np.random.SeedSequence(7), height=512, width=512)
     tiles = (slide[:256, 256:], slide[256:, :256])
@@ -70,7 +73,25 @@ def reset_cases():
     skewed = rng.integers(0, 256, 250_000, dtype=np.uint8)
     skewed[rng.random(skewed.size) < 0.65] = 0
     cases += [(bytes(skewed), w) for w in (12, 16, 20)]
+    uniform = np.random.default_rng(39).integers(0, 256, 1 << 17, dtype=np.uint8).tobytes()
+    cases += [(uniform, 9), (uniform, 20), stale_pair_case()]
     return cases
+
+
+def stale_pair_case():
+    """A width-9 ``(data, 9)`` pair where the literal 0 is followed by 1 at
+    the start and again just after the 4,095th CLEAR, and nowhere between.
+
+    The encoder's pair table is zeroed only at every 4,095th CLEAR; its
+    entry for 0 1 from the first dictionary must not be taken for one of the
+    dictionary that starts there.
+    """
+    from slidecodec import _lzw_py
+
+    data = b"\x00\x01" + np.random.default_rng(40).integers(
+        1, 256, 1 << 20, dtype=np.uint8).tobytes()
+    at = clear_offsets(_lzw_py.encode_trace(data, 9)[1])[4094] + 8
+    return data[:at] + b"\x00\x01" + data[at:], 9
 
 
 def runs(pairs):

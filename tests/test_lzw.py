@@ -314,11 +314,15 @@ def test_backends_byte_identical_across_resets():
 def test_backends_byte_identical_around_the_table_start_size():
     # the encoder's hash table starts at a size set by the input length: 300
     # bytes start at the smallest, 64 KB at the largest start, which random
-    # bytes outgrow at widths 16 and 20 and at widths 9 and 12 fill to CLEAR
+    # bytes outgrow at widths 16 and 20 and at widths 9 and 12 fill to CLEAR.
+    # 2**16 bytes is also the shortest stream given a pair table, so 2**16 - 1
+    # bytes, one byte short of it, run at widths 9 and 16 too
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     rng = np.random.default_rng(39)
     cases = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), width)
-             for n in (300, 1 << 16) for width in (9, 12, 16, 20)]
+             for n, widths in ((300, (9, 12, 16, 20)), (1 << 16, (9, 12, 16, 20)),
+                               ((1 << 16) - 1, (9, 16)))
+             for width in widths]
     assert_identical(_lzw_native, _lzw_py, cases)
     codes = {(len(data), w): _lzw_native.encode_trace(data, w)[1] for data, w in cases}
     assert {w for (n, w), c in codes.items() if CLEAR in c} == {9, 12}

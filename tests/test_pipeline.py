@@ -114,6 +114,16 @@ def test_uncrop_rejects_bad_metadata(rows, cols):
         uncrop(CropResult(cropped, rows, cols, 3, 5))
 
 
+# sizes that are no integer, and index fields that are no sequence of indices
+@pytest.mark.parametrize("rows, cols, height, width", [
+    ((0,), (1,), 3.0, 5), ((0,), (1,), 3, 5.0), (5, (1,), 3, 5), ((0,), 1, 3, 5),
+    (None, (1,), 3, 5), ((0,), {1}, 3, 5)])
+def test_uncrop_rejects_malformed_crop_fields(rows, cols, height, width):
+    cropped = np.ones((2, 4, 1), dtype=np.uint8)
+    with pytest.raises(StructuralError):
+        uncrop(CropResult(cropped, rows, cols, height, width))
+
+
 # values a cast to uint8 would change: 300 to 44, 1.9 to 1
 @pytest.mark.parametrize("cropped", [np.full((2, 4, 1), 300), np.full((2, 4, 1), 1.9)])
 def test_uncrop_rejects_a_cropped_image_that_is_not_uint8(cropped):
