@@ -27,7 +27,13 @@
    pair table, one load each, whose entries carry an epoch so that a CLEAR
    need not zero it. Every other phrase goes through an open-addressing hash
    table. Only the dictionary's structure differs from _lzw_py.py, not its
-   contents, so the codes are the same. */
+   contents, so the codes are the same.
+
+   Both bit loops move a 64-bit word per code, not a byte: the encoder ORs
+   each code into its accumulator and stores all 8 of its bytes, the
+   decoder takes each code out of one big-endian 8-byte load. Only the
+   decoder's last 7 input bytes are read one at a time, so no load passes
+   the end of the stream, and only they are tested for truncation. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -57,17 +63,43 @@ size_t lzw_max_codes(size_t n, int max_width)
     return n + n / (((size_t)1 << max_width) - FIRST_CODE) + 2;
 }
 
+/* The 8 bytes at p as one big-endian word, and back. Written out byte by
+   byte, which compilers turn into one load or store and a byte swap. */
+static inline uint64_t load_be64(const uint8_t *p)
+{
+    return (uint64_t)p[0] << 56 | (uint64_t)p[1] << 48 | (uint64_t)p[2] << 40 |
+           (uint64_t)p[3] << 32 | (uint64_t)p[4] << 24 | (uint64_t)p[5] << 16 |
+           (uint64_t)p[6] << 8 | (uint64_t)p[7];
+}
+
+static inline void store_be64(uint8_t *p, uint64_t v)
+{
+    p[0] = (uint8_t)(v >> 56);
+    p[1] = (uint8_t)(v >> 48);
+    p[2] = (uint8_t)(v >> 40);
+    p[3] = (uint8_t)(v >> 32);
+    p[4] = (uint8_t)(v >> 24);
+    p[5] = (uint8_t)(v >> 16);
+    p[6] = (uint8_t)(v >> 8);
+    p[7] = (uint8_t)v;
+}
+
 typedef struct {
     uint8_t *buf;
     size_t len, cap;
-    uint64_t acc;
+    uint64_t acc; /* the nbits < 8 bits not yet whole bytes, at the top */
     int nbits;
     int32_t *codes; /* optional sink for the emitted codes */
     size_t ncodes;
 } writer;
 
-/* Append one code MSB-first; -1 when the buffer cannot grow. Inline: on
-   raw, miss-heavy input the encoder calls it about once per two bytes. */
+/* Append one code MSB-first; -1 when the buffer cannot grow. The code is
+   ORed in below the pending bits, and the accumulator's 8 bytes are stored
+   at len whether or not they are all whole: len then moves past the whole
+   ones, and the next store rewrites the rest. A code adds at most 20 bits
+   to fewer than 8, so no loop or branch is needed, and len + 8 <= cap
+   leaves room for the store. Inline: on raw, miss-heavy input the encoder
+   calls it about once per two bytes. */
 static inline int put(writer *w, int width, int32_t code)
 {
     if (w->len + 8 > w->cap) {
@@ -80,12 +112,12 @@ static inline int put(writer *w, int width, int32_t code)
     }
     if (w->codes)
         w->codes[w->ncodes++] = code;
-    w->acc = (w->acc << width) | (uint64_t)code;
     w->nbits += width;
-    while (w->nbits >= 8) {
-        w->nbits -= 8;
-        w->buf[w->len++] = (uint8_t)(w->acc >> w->nbits);
-    }
+    w->acc |= (uint64_t)code << (64 - w->nbits);
+    store_be64(w->buf + w->len, w->acc);
+    w->len += (size_t)(w->nbits >> 3);
+    w->acc <<= w->nbits & ~7;
+    w->nbits &= 7;
     return 0;
 }
 
@@ -356,8 +388,8 @@ flush:
     }
     if (put(&w, width, END))
         goto done;
-    if (w.nbits)
-        w.buf[w.len++] = (uint8_t)(w.acc << (8 - w.nbits));
+    if (w.nbits) /* END's last store already wrote the partial byte */
+        w.len++;
     res->len = w.len;
     res->ncodes = w.ncodes;
     res->peak = next_code > peak ? next_code : peak;
@@ -378,6 +410,13 @@ done:
     return status;
 }
 
+/* The next code at which the decoder's code width grows past width: none
+   once width is max_width. */
+static inline int32_t width_bump(int width, int max_width)
+{
+    return width < max_width ? (int32_t)1 << width : INT32_MAX;
+}
+
 /* Decode src[0:n] up to its END code into out, which holds size bytes. On
    LZW_TRUNCATED res->pos, and on LZW_CORRUPT res->code and res->next_code,
    say where the stream went wrong. LZW_LENGTH means the code read by
@@ -392,7 +431,10 @@ done:
    that ends at the write position or before. A phrase of at most 16 bytes
    is copied inline, as two 8-byte words, while 16 bytes of out remain; it
    may then write garbage up to 15 bytes past its end, so out's bytes past
-   the write position are undefined until the call returns LZW_OK. */
+   the write position are undefined until the call returns LZW_OK.
+
+   The loop tests for a literal first, which needs neither the dictionary
+   nor a copy, and keeps the code at which the width grows in bump. */
 int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t *out,
                lzw_result *res)
 {
@@ -407,53 +449,60 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t
         return LZW_NOMEM;
 
     int status;
-    size_t len = 0, pos = 0;
-    uint64_t acc = 0;
-    int nbits = 0, width = MIN_WIDTH, have_prev = 0;
+    size_t len = 0, bit = 0, cur_len = 0; /* bytes written, bits read */
+    int width = MIN_WIDTH, have_prev = 0;
     int32_t next_code = FIRST_CODE, code = 0;
+    int32_t bump = width_bump(MIN_WIDTH, max_width);
     for (;;) {
-        while (nbits < width) {
-            if (pos >= n) {
-                res->pos = pos;
+        /* the code's bits start at bit; while 8 bytes remain from there one
+           load holds them all, as width <= 20 bits start within the first
+           byte; the last 7 bytes are read one at a time, and only they can
+           end too soon */
+        const size_t at = bit >> 3;
+        uint64_t word;
+        if (at + 8 <= n) {
+            word = load_be64(src + at);
+        } else {
+            if (bit + (size_t)width > 8 * n) {
+                res->pos = n;
                 status = LZW_TRUNCATED;
                 goto done;
             }
-            acc = (acc << 8) | src[pos++];
-            nbits += 8;
+            word = 0;
+            for (size_t k = at; k < n; k++)
+                word |= (uint64_t)src[k] << (56 - 8 * (k - at));
         }
-        nbits -= width;
-        code = (int32_t)((acc >> nbits) & (((uint64_t)1 << width) - 1));
-        if (code == END)
-            break;
-        if (code == CLEAR) {
-            next_code = FIRST_CODE;
-            width = MIN_WIDTH;
-            have_prev = 0;
-            continue;
-        }
-        /* where the phrase is copied from and its length; kwk marks the
-           entry that this very code defines: the latest code's phrase,
-           which runs up to the write position, plus its first byte */
-        const int kwk = code == next_code && have_prev && next_code < capacity;
-        size_t from = 0, cur_len = 1;
-        if (code >= FIRST_CODE && (code < next_code || kwk)) {
-            from = start[code - FIRST_CODE];
-            cur_len = (kwk ? len : start[code - FIRST_CODE + 1]) - from + 1;
-        } else if (code >= 256) {
-            res->code = code;
-            res->next_code = next_code;
-            status = LZW_CORRUPT;
-            goto done;
-        }
-        if (cur_len > size - len) {
-            res->len = len + cur_len;
-            res->pos = pos;
-            status = LZW_LENGTH;
-            goto done;
-        }
+        code = (int32_t)(word << (bit & 7) >> (64 - width));
+        bit += (size_t)width;
         if (code < 256) {
+            cur_len = 1;
+            if (len == size)
+                goto too_long;
             out[len] = (uint8_t)code;
         } else {
+            if (code == END)
+                break;
+            if (code == CLEAR) {
+                next_code = FIRST_CODE;
+                width = MIN_WIDTH;
+                bump = width_bump(MIN_WIDTH, max_width);
+                have_prev = 0;
+                continue;
+            }
+            /* where the phrase is copied from and its length; kwk marks the
+               entry that this very code defines: the latest code's phrase,
+               which runs up to the write position, plus its first byte */
+            const int kwk = code == next_code && have_prev && next_code < capacity;
+            if (code >= next_code && !kwk) {
+                res->code = code;
+                res->next_code = next_code;
+                status = LZW_CORRUPT;
+                goto done;
+            }
+            const size_t from = start[code - FIRST_CODE];
+            cur_len = (kwk ? len : start[code - FIRST_CODE + 1]) - from + 1;
+            if (cur_len > size - len)
+                goto too_long;
             if (cur_len <= 16 && size - len >= 16) {
                 /* Most phrases are short: copy 16 bytes as two words. As
                    from < len and len + 16 <= size, both 16-byte windows lie
@@ -478,10 +527,9 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t
         /* the entry made of the latest code and this one's first byte, then
            where this code is written */
         if (!have_prev || next_code < capacity) {
-            if (have_prev) {
-                next_code++;
-                if (next_code >= (1 << width) && width < max_width)
-                    width++;
+            if (have_prev && ++next_code >= bump) {
+                width++;
+                bump = width_bump(width, max_width);
             }
             start[next_code - FIRST_CODE] = len;
         }
@@ -489,8 +537,14 @@ int lzw_decode(const uint8_t *src, size_t n, int max_width, size_t size, uint8_t
         have_prev = 1;
     }
     res->len = len;
-    res->pos = pos;
+    res->pos = (bit + 7) >> 3;
     status = len == size ? LZW_OK : LZW_LENGTH;
+    goto done;
+
+too_long:
+    res->len = len + cur_len;
+    res->pos = (bit + 7) >> 3;
+    status = LZW_LENGTH;
 
 done:
     free(start);

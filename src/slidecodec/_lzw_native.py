@@ -157,13 +157,14 @@ def _check(status: int, res: _Result = None, size: int = 0) -> None:
 
 
 def _address(data):
-    """What ctypes passes as the address of ``data``, bytes or a flat byte
-    memoryview; the caller keeps ``data`` alive for the call."""
+    """What ctypes passes as the address of ``data``: bytes, a flat byte
+    memoryview, or a memoryview of a C-contiguous array; the caller keeps
+    ``data`` alive for the call."""
     if isinstance(data, bytes):
         return data
     if isinstance(data, memoryview) and not data.readonly and data.nbytes:
         # about a third of numpy's cost; from_buffer takes only writable,
-        # non-empty buffers, such as the decoder's output
+        # non-empty buffers, such as the arrays this module allocates
         return ctypes.addressof(ctypes.c_char.from_buffer(data))
     return np.frombuffer(data, dtype=np.uint8).ctypes.data
 
@@ -192,11 +193,11 @@ def encode_trace(data, max_width: int) -> tuple:
 
 
 def decode(data, max_width: int, size: int) -> memoryview:
-    out = np.empty(size, dtype=np.uint8)
+    out = memoryview(np.empty(size, dtype=np.uint8))
     res = _Result()
     _check(_lib.lzw_decode(_address(data), len(data), max_width, size,
-                           out.ctypes.data, ctypes.byref(res)), res, size)
-    return memoryview(out)
+                           _address(out), ctypes.byref(res)), res, size)
+    return out
 
 
 # Pixel stages. The callers in transform.py and bitplane.py validate dtype,
@@ -213,8 +214,13 @@ def _packed(a: np.ndarray) -> bool:
 
 def _copy(a: np.ndarray) -> np.ndarray:
     """A new contiguous array with ``a``'s bytes, for a layout the kernels do
-    not take; the codec's own tiles never need one."""
-    return np.array(a, order="C")
+    not take; the codec's own tiles never need one. One channel plane at a
+    time: numpy copies a strided 2-D plane several times faster than it
+    copies a whole (h, w, c) view whose last axis is not packed."""
+    out = np.empty(a.shape, dtype=np.uint8)
+    for k in range(a.shape[2]):
+        out[..., k] = a[..., k]
+    return out
 
 
 def _contiguous(a: np.ndarray) -> np.ndarray:
@@ -226,7 +232,7 @@ def project(x: np.ndarray) -> np.ndarray:
     if not _packed(x):
         x = _copy(x)
     z = np.empty(x.shape, dtype=np.uint8)
-    _check(_lib.px_project(x.ctypes.data, *x.shape, x.strides[0], z.ctypes.data))
+    _check(_lib.px_project(x.ctypes.data, *x.shape, x.strides[0], _address(memoryview(z))))
     return z
 
 
@@ -247,14 +253,14 @@ def to_bitplanes(r: np.ndarray) -> memoryview:
     """``bitplane.to_bitplanes`` of an (h, w, c) uint8 array, any strides."""
     r = _contiguous(r)
     h, w, c = r.shape
-    planes = np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8)
-    _lib.px_to_bitplanes(r.ctypes.data, h, w, c, planes.ctypes.data)
-    return memoryview(planes)
+    planes = memoryview(np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8))
+    _lib.px_to_bitplanes(r.ctypes.data, h, w, c, _address(planes))
+    return planes
 
 
 def from_bitplanes(stream, height: int, width: int, channels: int) -> np.ndarray:
     """``bitplane.from_bitplanes`` of a stream of the exact length for the shape,
     bytes or a flat byte memoryview, read in place."""
     out = np.empty((height, width, channels), dtype=np.uint8)
-    _lib.px_from_bitplanes(_address(stream), height, width, channels, out.ctypes.data)
+    _lib.px_from_bitplanes(_address(stream), height, width, channels, _address(memoryview(out)))
     return out

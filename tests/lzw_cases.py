@@ -94,6 +94,59 @@ def stale_pair_case():
     return data[:at] + b"\x00\x01" + data[at:], 9
 
 
+def tail_inputs():
+    """``(data, width)`` pairs of random bytes, 2,000 at width 9, 6,000 at 12,
+    100,000 at 16 and 1,000,000 at 20: just long enough that the last codes
+    are at the full width."""
+    rng = np.random.default_rng(43)
+    return [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), width)
+            for width, n in ((9, 2000), (12, 6000), (16, 100_000), (20, 1_000_000))]
+
+
+def tail_cases():
+    """``(stream, width, size)`` triples: each of :func:`tail_inputs`'
+    streams whole and cut by 1 to 8 bytes.
+
+    The cut lands in the last 8 bytes, which the native decoder reads a byte
+    at a time rather than with one 8-byte load, at every width. Every stream
+    is over 512 bytes, so the interpreter takes it from ``malloc``, not from
+    its small-object pool, and AddressSanitizer sees a read past its end.
+    """
+    from slidecodec import _lzw_py
+
+    cases = []
+    for data, width in tail_inputs():
+        stream = _lzw_py.encode(data, width)
+        cases += [(stream[:len(stream) - cut], width, len(data)) for cut in range(9)]
+    return cases
+
+
+def encoder_start_capacity(n):
+    """Bytes of the native encoder's first output buffer for n input bytes."""
+    return n + n // 8 + 64
+
+
+def writer_cases():
+    """``(data, width)`` pairs whose packed lengths end at every residue mod 8.
+
+    Random and constant inputs of 0 to 40 bytes at every width from 9 to 20.
+    They pack into far fewer bytes than the encoder's first buffer holds, so
+    last come prefixes of random bytes at width 9 whose packed lengths run
+    from 10 bytes below :func:`encoder_start_capacity` to 2 above it: the
+    encoder writes 8 bytes per code, and grows its buffer just before the
+    write would pass its end.
+    """
+    rng = np.random.default_rng(44)
+    cases = [(data, width)
+             for n in range(41)
+             for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(), bytes([0x5A]) * n)
+             for width in range(9, 21)]
+    near_start = np.random.default_rng(41).integers(0, 256, 1 << 15, dtype=np.uint8).tobytes()
+    cases += [(near_start[:n], 9) for n in (19411, 19666, 19921, 20176, 20183, 20431, 20686,
+                                            20941, 21196, 21963, 22218, 22729, 22984)]
+    return cases
+
+
 def runs(pairs):
     """The bytes of ``(byte, length)`` runs, one after another."""
     return b"".join(bytes([b]) * k for b, k in pairs)

@@ -28,11 +28,15 @@ from lzw_cases import (
     clear_offsets,
     damaged_cases,
     edge_cases,
+    encoder_start_capacity,
     outcome,
     reset_cases,
     run_cases,
     runs,
     short_cases,
+    tail_cases,
+    tail_inputs,
+    writer_cases,
 )
 from oracles import oracle_lzw_codes, oracle_pack
 
@@ -252,7 +256,33 @@ def test_backends_byte_identical():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     rng = np.random.default_rng(36)
     # damaged streams and wrong sizes fail alike: same class, same message
-    assert_identical(_lzw_native, _lzw_py, short_cases(rng), damaged_cases(rng) + edge_cases())
+    assert_identical(_lzw_native, _lzw_py, short_cases(rng) + writer_cases(),
+                     damaged_cases(rng) + edge_cases() + tail_cases())
+
+
+def test_tail_and_writer_cases_reach_their_edges():
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    # the tail streams end on codes of their full width, in buffers of their
+    # own over 512 bytes, and each cut truncates the END code
+    assert all(_lzw_native.encode_trace(data, w)[2] >= 1 << (w - 1) for data, w in tail_inputs())
+    for k, (stream, width, size) in enumerate(tail_cases()):
+        assert len(stream) > 512
+        if k % 9:  # nine per stream: whole, then cut by 1 to 8 bytes
+            with pytest.raises(TruncatedStreamError, match=f"ended at byte {len(stream)} "):
+                _lzw_native.decode(stream, width, size)
+        else:
+            assert len(_lzw_native.decode(stream, width, size)) == size
+    # the writer's cases end at every residue mod 8 at every width, and the
+    # last ones on both sides of the encoder's first buffer size
+    residues, near_start = {}, []
+    for data, width in writer_cases():
+        packed = len(_lzw_native.encode(data, width))
+        if len(data) <= 40:
+            residues.setdefault(width, set()).add(packed % 8)
+        else:
+            near_start.append(packed - encoder_start_capacity(len(data)))
+    assert residues == {w: set(range(8)) for w in range(9, 21)}
+    assert near_start == list(range(-10, 3))
 
 
 @pytest.mark.parametrize("bad", [16.0, True, "16", None])
@@ -373,10 +403,11 @@ def _identity_under(tmp_path, sanitize, **env_extra):
         "import numpy as np\n"
         "from slidecodec import _lzw_native, _lzw_py\n"
         "from lzw_cases import (assert_identical, damaged_cases, edge_cases, reset_cases,\n"
-        "                       run_cases, short_cases)\n"
+        "                       run_cases, short_cases, tail_cases, writer_cases)\n"
         "rng = np.random.default_rng(36)\n"
-        "assert_identical(_lzw_native, _lzw_py, short_cases(rng) + reset_cases() + run_cases(),\n"
-        "                 damaged_cases(rng) + edge_cases())\n"
+        "assert_identical(_lzw_native, _lzw_py,\n"
+        "                 short_cases(rng) + reset_cases() + run_cases() + writer_cases(),\n"
+        "                 damaged_cases(rng) + edge_cases() + tail_cases())\n"
         "from stage_cases import check_stages\n"
         "check_stages(_lzw_native, _lzw_py, np.random.default_rng(37), 25)\n"
     )
