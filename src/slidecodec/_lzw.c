@@ -46,22 +46,12 @@ enum { LZW_OK = 0, LZW_TRUNCATED = 1, LZW_CORRUPT = 2, LZW_NOMEM = 3, LZW_LENGTH
 
 typedef struct {
     size_t len;        /* bytes of output; on LZW_LENGTH, the length decoded */
-    size_t ncodes;     /* encode: codes written to the caller's code buffer */
     size_t pos;        /* decode: input bytes consumed */
     int32_t code;      /* decode: the last code read */
     int32_t next_code; /* decode: the dictionary's next code when it was read */
-    int32_t peak;      /* encode: the largest next code the dictionary reached */
 } lzw_result;
 
 void lzw_free(void *p) { free(p); }
-
-/* Upper bound on the codes lzw_encode emits for n input bytes: at most one
-   data code per byte, one CLEAR per (2**max_width - FIRST_CODE) dictionary
-   entries, and END. A code buffer passed to lzw_encode must hold this many. */
-size_t lzw_max_codes(size_t n, int max_width)
-{
-    return n + n / (((size_t)1 << max_width) - FIRST_CODE) + 2;
-}
 
 /* The 8 bytes at p as one big-endian word, and back. Written out byte by
    byte, which compilers turn into one load or store and a byte swap. */
@@ -89,8 +79,6 @@ typedef struct {
     size_t len, cap;
     uint64_t acc; /* the nbits < 8 bits not yet whole bytes, at the top */
     int nbits;
-    int32_t *codes; /* optional sink for the emitted codes */
-    size_t ncodes;
 } writer;
 
 /* Append one code MSB-first; -1 when the buffer cannot grow. The code is
@@ -110,8 +98,6 @@ static inline int put(writer *w, int width, int32_t code)
         w->buf = grown;
         w->cap = cap;
     }
-    if (w->codes)
-        w->codes[w->ncodes++] = code;
     w->nbits += width;
     w->acc |= (uint64_t)code << (64 - w->nbits);
     store_be64(w->buf + w->len, w->acc);
@@ -245,8 +231,8 @@ static size_t run_length(const uint8_t *p, size_t n, uint8_t b)
    faster literal steps save there. */
 enum { CODE_BITS = 20, CODE_MASK = (1 << CODE_BITS) - 1, PAIR_MIN_LEN = 1 << 16 };
 
-/* Encode src[0:n]. codes may be NULL; otherwise it must hold
-   lzw_max_codes(n, max_width) entries. On LZW_OK *out holds res->len bytes.
+/* Encode src[0:n]. On LZW_OK *out holds res->len bytes. The codes are not
+   returned: slidecodec/lzw.py reads them back from the packed bytes.
 
    The dictionary lives in three structures that together hold each entry
    once. A pure run b^(k+1), which extends the phrase b^k by another b,
@@ -273,8 +259,7 @@ enum { CODE_BITS = 20, CODE_MASK = (1 << CODE_BITS) - 1, PAIR_MIN_LEN = 1 << 16 
    the ones the byte-at-a-time greedy parse of _lzw_py.py emits. A CLEAR
    empties the hash table and the pair table and sets every ladder's top
    back to 1. */
-int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
-               uint8_t **out, lzw_result *res)
+int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     table t;
@@ -284,7 +269,6 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
     writer w = {0};
     w.cap = n + n / 8 + 64;
     w.buf = malloc(w.cap);
-    w.codes = codes;
     for (int b = 0; b < 256; b++)
         runs[b].top = 1;
 
@@ -293,7 +277,7 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
         goto done;
 
     int width = MIN_WIDTH;
-    int32_t next_code = FIRST_CODE, peak = FIRST_CODE;
+    int32_t next_code = FIRST_CODE;
     int32_t prev = n ? src[0] : -1;
     size_t i = 1;
     while (i < n) {
@@ -367,7 +351,6 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, int32_t *codes,
             }
             for (int c = 0; c < 256; c++)
                 runs[c].top = 1;
-            peak = capacity;
             next_code = FIRST_CODE;
             width = MIN_WIDTH;
         }
@@ -391,8 +374,6 @@ flush:
     if (w.nbits) /* END's last store already wrote the partial byte */
         w.len++;
     res->len = w.len;
-    res->ncodes = w.ncodes;
-    res->peak = next_code > peak ? next_code : peak;
     status = LZW_OK;
 
 done:

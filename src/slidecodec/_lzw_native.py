@@ -1,6 +1,6 @@
 """Native LZW kernels: ``_lzw.c`` built with the system C compiler, called via ctypes.
 
-The same seven functions as ``slidecodec._lzw_py``, with the same signatures,
+The same six functions as ``slidecodec._lzw_py``, with the same signatures,
 and byte-identical to it. ctypes releases the interpreter lock for the length
 of each call, so patch workers overlap. ``decode`` and ``to_bitplanes``
 return a memoryview of the numpy array the kernel wrote into; only the
@@ -40,11 +40,9 @@ _OK, _TRUNCATED, _CORRUPT, _NOMEM, _LENGTH = range(5)
 class _Result(ctypes.Structure):
     _fields_ = [
         ("len", ctypes.c_size_t),
-        ("ncodes", ctypes.c_size_t),
         ("pos", ctypes.c_size_t),
         ("code", ctypes.c_int32),
         ("next_code", ctypes.c_int32),
-        ("peak", ctypes.c_int32),
     ]
 
 
@@ -105,14 +103,11 @@ def _load() -> ctypes.CDLL:
     u8p = ctypes.POINTER(ctypes.c_uint8)
     result_p = ctypes.POINTER(_Result)
     lib.lzw_encode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
-                               ctypes.POINTER(ctypes.c_int32),
                                ctypes.POINTER(u8p), result_p]
     lib.lzw_encode.restype = ctypes.c_int
     lib.lzw_decode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                                ctypes.c_size_t, ctypes.c_void_p, result_p]
     lib.lzw_decode.restype = ctypes.c_int
-    lib.lzw_max_codes.argtypes = [ctypes.c_size_t, ctypes.c_int]
-    lib.lzw_max_codes.restype = ctypes.c_size_t
     lib.lzw_free.argtypes = [u8p]
     lib.lzw_free.restype = None
     size, stride, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p
@@ -169,27 +164,16 @@ def _address(data):
     return np.frombuffer(data, dtype=np.uint8).ctypes.data
 
 
-def _encode(data, max_width: int, codes) -> tuple:
+def encode(data, max_width: int) -> bytes:
     out = ctypes.POINTER(ctypes.c_uint8)()
     res = _Result()
-    status = _lib.lzw_encode(_address(data), len(data), max_width, codes,
+    status = _lib.lzw_encode(_address(data), len(data), max_width,
                              ctypes.byref(out), ctypes.byref(res))
     try:
         _check(status)
-        return ctypes.string_at(out, res.len), res
+        return ctypes.string_at(out, res.len)
     finally:
         _lib.lzw_free(out)
-
-
-def encode(data, max_width: int) -> bytes:
-    return _encode(data, max_width, None)[0]
-
-
-def encode_trace(data, max_width: int) -> tuple:
-    """(packed bytes, emitted code list, peak next code) for ``data``."""
-    codes = (ctypes.c_int32 * _lib.lzw_max_codes(len(data), max_width))()
-    packed, res = _encode(data, max_width, codes)
-    return packed, codes[:res.ncodes], res.peak
 
 
 def decode(data, max_width: int, size: int) -> memoryview:

@@ -1,11 +1,11 @@
 """Pure-Python and numpy kernels; the C kernels in _lzw.c mirror these.
 
-The same seven functions as ``slidecodec._lzw_native``, with the same
-signatures and byte-identical results: ``encode``, ``decode`` and
-``encode_trace`` for LZW, ``project``, ``unproject``, ``to_bitplanes`` and
-``from_bitplanes`` for the pixel stages. They are the fallback backend and
-the reference the native kernels are tested against. The callers in ``lzw``,
-``transform`` and ``bitplane`` check every argument first.
+The same six functions as ``slidecodec._lzw_native``, with the same
+signatures and byte-identical results: ``encode`` and ``decode`` for LZW,
+``project``, ``unproject``, ``to_bitplanes`` and ``from_bitplanes`` for the
+pixel stages. They are the fallback backend and the reference the native
+kernels are tested against. The callers in ``lzw``, ``transform`` and
+``bitplane`` check every argument first.
 
 LZW wire rules shared by both backends (and by the stream format):
 
@@ -32,22 +32,9 @@ MIN_WIDTH = 9
 
 
 def encode(data, max_width: int) -> bytes:
-    return _encode(data, max_width, None)[0]
-
-
-def encode_trace(data, max_width: int) -> tuple:
-    """(packed bytes, emitted code list, peak next code) for ``data``."""
-    codes: list[int] = []
-    packed, peak = _encode(data, max_width, codes)
-    return packed, codes, peak
-
-
-def _encode(data: bytes, max_width: int, codes) -> tuple:
-    """Packed stream and peak next code; appends each code to ``codes`` unless None."""
     capacity = 1 << max_width
     table: dict[int, int] = {}
     next_code = FIRST_CODE
-    peak = FIRST_CODE  # next_code only grows between resets
     width = MIN_WIDTH
     acc = 0
     nbits = 0
@@ -56,8 +43,6 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
 
     def put(code: int) -> None:
         nonlocal acc, nbits
-        if codes is not None:
-            codes.append(code)
         acc = (acc << width) | code
         nbits += width
         while nbits >= 8:
@@ -82,7 +67,6 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
                 width += 1
         else:
             put(CLEAR)
-            peak = next_code
             table.clear()
             next_code = FIRST_CODE
             width = MIN_WIDTH
@@ -99,7 +83,7 @@ def _encode(data: bytes, max_width: int, codes) -> tuple:
     put(END)
     if nbits:
         out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out), max(peak, next_code)
+    return bytes(out)
 
 
 def decode(data, max_width: int, size: int) -> memoryview:

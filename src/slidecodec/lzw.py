@@ -5,11 +5,12 @@ This module also chooses, once, the kernel module behind every stage:
 first import and cached, see that module), or the pure-Python and numpy
 kernels of ``slidecodec._lzw_py`` when no library can be built or loaded, or
 when the ``SLIDECODEC_PURE`` environment variable is set (then nothing is
-compiled). Both modules define the same seven functions with the same
-results: LZW here, and the projection and bit-plane kernels that
-``transform`` and ``bitplane`` look up as ``lzw._kernel`` on each call. The
-C kernels release the interpreter lock for each call. ``BACKEND`` names the
-module in use.
+compiled). Both modules define the same six functions with the same
+results: the LZW encoder and decoder here, whose codes
+:func:`lzw_encode_trace` reads back from the packed bytes, and the
+projection and bit-plane kernels that ``transform`` and ``bitplane`` look
+up as ``lzw._kernel`` on each call. The C kernels release the interpreter
+lock for each call. ``BACKEND`` names the module in use.
 """
 
 import os
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lzw_py
-from ._lzw_py import CLEAR, END, MIN_WIDTH
+from ._lzw_py import CLEAR, END, FIRST_CODE, MIN_WIDTH
 from .errors import TruncatedStreamError
 
 __all__ = [
@@ -56,8 +57,12 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
 class CodeTrace(NamedTuple):
     """Full encoder record: the code sequence plus its packed byte stream.
 
-    ``peak_next_code`` is the largest dictionary size the encoder reached,
-    for checking the 2**max_width bound.
+    ``peak_next_code`` is the largest next code the encoder's dictionary
+    reached, for checking the 2**max_width bound. It follows from the codes:
+    2**max_width if there is a CLEAR, which comes only with the dictionary
+    full; otherwise FIRST_CODE plus one entry per data code after the first
+    and one more, the encoder's mirror of the decoder's entry for the last,
+    capped at 2**max_width.
     """
 
     codes: tuple
@@ -115,12 +120,45 @@ def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) ->
     return _kernel.decode(_flat(view), max_width, size)
 
 
-def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTrace:
-    """Encode while recording the emitted code sequence.
+def _read_codes(packed: bytes, max_width: int) -> tuple:
+    """(codes, peak next code) of an encoder's packed stream, read without a dictionary.
 
-    Runs on the active backend; the packed bytes are identical to
-    :func:`lzw_encode`'s output.
+    A code's width depends only on ``count``, the data codes read since the
+    last CLEAR: it is bit_length(next_code) clamped to [9, max_width], with
+    the decoder's next_code = min(FIRST_CODE + max(count - 1, 0),
+    2**max_width). So the codes come in runs of one width, each read with
+    numpy in one step up to its first CLEAR or END. A run ends where
+    next_code reaches 2**width, or at max_width one code later: the code
+    read with the dictionary full, which the encoder makes a CLEAR. Reading
+    no further than that, a slice kept of a run pins no more than the run.
     """
+    capacity = 1 << max_width
+    b = np.frombuffer(packed + bytes(3), dtype=np.uint8).astype(np.uint32)
+    words = b[:-3] << 24 | b[1:-2] << 16 | b[2:-1] << 8 | b[3:]  # the 32 bits from each byte
+    parts, at, count, cleared = [], 0, 0, False
+    while not parts or parts[-1][-1] != END:
+        next_code = min(FIRST_CODE + max(count - 1, 0), capacity)
+        width = min(max(next_code.bit_length(), MIN_WIDTH), max_width)
+        n = min((1 << width) - FIRST_CODE + 1 + (width == max_width) - count,
+                (8 * len(packed) - at) // width)
+        bit = at + width * np.arange(n)
+        codes = words[bit >> 3] >> (32 - width - (bit & 7)) & ((1 << width) - 1)
+        stop = np.flatnonzero((codes == CLEAR) | (codes == END))
+        n = int(stop[0]) + 1 if stop.size else n
+        parts.append(codes[:n])
+        at, count = at + width * n, count + n
+        if codes[n - 1] == CLEAR:
+            count, cleared = 0, True
+    codes = tuple(np.concatenate(parts).tolist())
+    if cleared:
+        return codes, capacity
+    data = len(codes) - 1  # see CodeTrace for the peak
+    return codes, min(FIRST_CODE + (data if data > 1 else 0), capacity)
+
+
+def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTrace:
+    """:func:`lzw_encode`, with the codes and peak read back from its output."""
     max_width = check_int("max_width", max_width, 9, 20)
-    packed, codes, peak = _kernel.encode_trace(_flat(memoryview(data)), max_width)
-    return CodeTrace(tuple(codes), packed, MIN_WIDTH, max_width, peak)
+    packed = lzw_encode(data, max_width)
+    codes, peak = _read_codes(packed, max_width)
+    return CodeTrace(codes, packed, MIN_WIDTH, max_width, peak)

@@ -1,10 +1,12 @@
 """LZW inputs for the native-versus-pure byte-identity checks.
 
-:func:`assert_identical` runs every case through two kernel modules (each
-with ``encode``, ``encode_trace`` and ``decode``) and asserts the same
-packed bytes, code traces, decoded bytes and errors. ``tests/test_lzw.py``
-calls it in-process and, in subprocesses, on native kernels built with
-UBSan and with AddressSanitizer.
+:func:`pure_results` runs every case through the pure kernels' ``encode``
+and ``decode``, and :func:`assert_matches` asserts that the native kernels
+give the same packed bytes, decoded bytes and errors. Equal packed bytes
+mean equal codes: ``lzw_encode_trace`` reads them back from those bytes on
+either backend. ``tests/test_lzw.py`` computes the pure side once per
+session and checks it in-process and, in subprocesses, against native
+kernels built with UBSan and with AddressSanitizer.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import numpy as np
 from slidecodec._lzw_py import CLEAR, END, FIRST_CODE, MIN_WIDTH
 from slidecodec.bitplane import to_bitplanes
 from slidecodec.errors import CodecError
+from slidecodec.lzw import _read_codes
 from slidecodec.synthetic import wsi_like_image
 from slidecodec.transform import project
 
@@ -21,7 +24,7 @@ from oracles import oracle_lzw_codes, oracle_pack
 def outcome(decode, *args):
     """The decoded bytes, or the (class, message) of the error raised."""
     try:
-        return decode(*args)
+        return bytes(decode(*args))
     except CodecError as exc:
         return type(exc), str(exc)
 
@@ -90,7 +93,7 @@ def stale_pair_case():
 
     data = b"\x00\x01" + np.random.default_rng(40).integers(
         1, 256, 1 << 20, dtype=np.uint8).tobytes()
-    at = clear_offsets(_lzw_py.encode_trace(data, 9)[1])[4094] + 8
+    at = clear_offsets(_read_codes(_lzw_py.encode(data, 9), 9)[0])[4094] + 8
     return data[:at] + b"\x00\x01" + data[at:], 9
 
 
@@ -275,17 +278,23 @@ def phrase_end_codes(width):
                 yield prefix + end + [200 + i for i in range(tail)] + [END]
 
 
-def assert_identical(native, pure, cases, streams=()):
-    """Both kernels encode, trace and decode ``cases``, and decode each
-    ``(stream, width, size)`` of ``streams`` to the same bytes or the same
-    error."""
-    for data, width in cases:
-        packed = native.encode(data, width)
-        assert packed == pure.encode(data, width), (len(data), width)
-        assert native.encode_trace(data, width) == pure.encode_trace(data, width), \
-            (len(data), width)
-        assert native.decode(packed, width, len(data)) == data
-        assert pure.decode(packed, width, len(data)) == data
-    for stream, width, size in streams:
-        assert outcome(native.decode, stream, width, size) == \
-            outcome(pure.decode, stream, width, size)
+def pure_results(pure, cases, streams=()):
+    """``(packed, outcomes)``: ``pure``'s packed bytes for each ``(data,
+    width)`` of ``cases``, each checked to decode back to ``data``, and the
+    :func:`outcome` of decoding each ``(stream, width, size)`` of ``streams``."""
+    packed = [pure.encode(data, width) for data, width in cases]
+    for (data, width), stream in zip(cases, packed):
+        assert pure.decode(stream, width, len(data)) == data, (len(data), width)
+    return packed, [outcome(pure.decode, *case) for case in streams]
+
+
+def assert_matches(native, cases, streams, expected):
+    """``native`` encodes ``cases`` and decodes ``streams`` as ``expected``,
+    :func:`pure_results`' result, says: the same packed bytes, each decoded
+    back to its input, and the same bytes or the same error for each stream."""
+    packed, outcomes = expected
+    for (data, width), stream in zip(cases, packed, strict=True):
+        assert native.encode(data, width) == stream, (len(data), width)
+        assert native.decode(stream, width, len(data)) == data
+    for (stream, width, size), expect in zip(streams, outcomes, strict=True):
+        assert outcome(native.decode, stream, width, size) == expect

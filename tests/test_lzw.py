@@ -1,4 +1,5 @@
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -20,16 +21,18 @@ from slidecodec.lzw import (
     lzw_decode,
     lzw_encode,
     lzw_encode_trace,
+    _read_codes,
 )
 
 from deadline import deadline
 from lzw_cases import (
-    assert_identical,
+    assert_matches,
     clear_offsets,
     damaged_cases,
     edge_cases,
     encoder_start_capacity,
     outcome,
+    pure_results,
     reset_cases,
     run_cases,
     runs,
@@ -115,16 +118,23 @@ def test_dictionary_reset_on_full():
     data = bytes(rng.integers(0, 256, 4096, dtype=np.uint8))
     trace = lzw_encode_trace(data, 9)
     assert CLEAR in trace.codes
-    assert trace.peak_next_code <= 512
+    assert trace.peak_next_code == 512
     assert lzw_decode(trace.packed, 9, size=len(data)) == data
 
 
-def test_dictionary_bound_holds():
+def test_dictionary_bound_holds(monkeypatch):
     rng = np.random.default_rng(33)
     for width in (9, 10, 12):
         data = bytes(rng.integers(0, 256, 3000, dtype=np.uint8))
         trace = lzw_encode_trace(data, width)
         assert trace.peak_next_code <= 1 << width
+    # exact peaks on both kernels: FIRST_CODE, one entry per data code after
+    # the first, and the entry mirrored after the last one
+    for kernel in filter(None, (_lzw_py, _lzw_native)):
+        monkeypatch.setattr(lzw_module, "_kernel", kernel)
+        peaks = [lzw_encode_trace(data).peak_next_code
+                 for data in (b"", b"A", b"AB", b"ABABAB", bytes(1000))]
+        assert peaks == [258, 258, 260, 262, 303]
 
 
 def test_width_schedule_fields():
@@ -251,20 +261,48 @@ def test_unreachable_size_rejected_before_decoding():
         lzw_decode(packed, size=-1)
 
 
-@pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
-def test_backends_byte_identical():
-    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+@pytest.fixture(scope="session")
+def identity():
+    """The identity cases with the pure kernels' results, computed once per
+    session: two ``(cases, streams, pure_results(...))`` groups, the short,
+    writer, damaged, edge and tail cases, then the reset and run cases."""
     rng = np.random.default_rng(36)
+    groups = [(short_cases(rng) + writer_cases(), damaged_cases(rng) + edge_cases() + tail_cases()),
+              (reset_cases() + run_cases(), [])]
+    return [(cases, streams, pure_results(_lzw_py, cases, streams)) for cases, streams in groups]
+
+
+@pytest.fixture(scope="session")
+def identity_pickle(identity, tmp_path_factory):
+    """:func:`identity`'s groups in a pickle file, for the sanitizer runs;
+    the bit-plane inputs, memoryviews, as bytes."""
+    path = tmp_path_factory.mktemp("identity") / "groups.pickle"
+    path.write_bytes(pickle.dumps([([(bytes(data), w) for data, w in cases], streams, expected)
+                                   for cases, streams, expected in identity]))
+    return path
+
+
+@pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
+def test_backends_byte_identical(identity):
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     # damaged streams and wrong sizes fail alike: same class, same message
-    assert_identical(_lzw_native, _lzw_py, short_cases(rng) + writer_cases(),
-                     damaged_cases(rng) + edge_cases() + tail_cases())
+    assert_matches(_lzw_native, *identity[0])
 
 
 def test_tail_and_writer_cases_reach_their_edges():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     # the tail streams end on codes of their full width, in buffers of their
-    # own over 512 bytes, and each cut truncates the END code
-    assert all(_lzw_native.encode_trace(data, w)[2] >= 1 << (w - 1) for data, w in tail_inputs())
+    # own over 512 bytes, and each cut truncates the END code. The codes are
+    # read back at every width from 9 to 20, across CLEARs at widths 9 and
+    # 12, and pack back into the same bytes
+    traces = []
+    for data, w in tail_inputs():
+        packed = _lzw_native.encode(data, w)
+        codes, peak = _read_codes(packed, w)
+        assert oracle_pack(codes, w) == packed
+        assert peak >= 1 << (w - 1)
+        traces.append((len(codes), peak))
+    assert traces == [(2004, 512), (5860, 4096), (75344, 65536), (529524, 529781)]
     for k, (stream, width, size) in enumerate(tail_cases()):
         assert len(stream) > 512
         if k % 9:  # nine per stream: whole, then cut by 1 to 8 bytes
@@ -327,11 +365,13 @@ def test_backends_agree_on_mutated_streams(draw):
         outcome(_lzw_py.decode, stream, width, size)
 
 
-def test_backends_byte_identical_across_resets():
+def test_backends_byte_identical_across_resets(identity):
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
-    cases = reset_cases() + run_cases()
-    assert_identical(_lzw_native, _lzw_py, cases)
-    traces = [(data, w, _lzw_native.encode_trace(data, w)[1]) for data, w in cases]
+    cases, _, expected = identity[1]
+    assert_matches(_lzw_native, cases, [], expected)
+    traces = [(data, w, _read_codes(packed, w)[0]) for (data, w), packed in zip(cases, expected[0])]
+    # the codes read back pack into the same bytes, across every CLEAR
+    assert all(oracle_pack(c, w) == packed for (_, w, c), packed in zip(traces, expected[0]))
     assert {12, 16} <= {w for _, w, c in traces if CLEAR in c}
     assert max(max(c) for _, w, c in traces if w == 20) > 1 << 16
     # the dictionary fills up in the middle of a run: the bytes on both
@@ -353,8 +393,8 @@ def test_backends_byte_identical_around_the_table_start_size():
              for n, widths in ((300, (9, 12, 16, 20)), (1 << 16, (9, 12, 16, 20)),
                                ((1 << 16) - 1, (9, 16)))
              for width in widths]
-    assert_identical(_lzw_native, _lzw_py, cases)
-    codes = {(len(data), w): _lzw_native.encode_trace(data, w)[1] for data, w in cases}
+    assert_matches(_lzw_native, cases, [], pure_results(_lzw_py, cases))
+    codes = {(len(data), w): _read_codes(_lzw_native.encode(data, w), w)[0] for data, w in cases}
     assert {w for (n, w), c in codes.items() if CLEAR in c} == {9, 12}
     # over 2**14 codes, each an entry, against the 2**13 entries that the
     # 2**14 starting slots hold at half load: the table doubles
@@ -368,7 +408,7 @@ def test_backends_byte_identical_on_runs(pairs):
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     data = runs(pairs)
     for width in (9, 12, 16):
-        assert _lzw_native.encode_trace(data, width) == _lzw_py.encode_trace(data, width)
+        assert _lzw_native.encode(data, width) == _lzw_py.encode(data, width)
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -385,12 +425,14 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-def _identity_under(tmp_path, sanitize, **env_extra):
+def _identity_under(identity_pickle, tmp_path, sanitize, **env_extra):
     """Run every identity case on a kernel built with ``sanitize`` flags, in a subprocess.
 
-    The LZW cases, then the pixel-stage cases of ``stage_cases``, whose
-    ``unproject`` writes into views of larger arrays. The build goes to a
-    private cache, so it neither reuses nor evicts the regular one.
+    The LZW cases, checked against the pure results in ``identity_pickle``
+    (they do not depend on how the native kernel is built), then the
+    pixel-stage cases of ``stage_cases``, whose ``unproject`` writes into
+    views of larger arrays. The build goes to a private cache, so it neither
+    reuses nor evicts the regular one.
     """
     cc = os.environ.get("CC") or "cc"
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -400,37 +442,36 @@ def _identity_under(tmp_path, sanitize, **env_extra):
                **env_extra)
     env.pop("SLIDECODEC_PURE", None)
     script = (
+        "import pickle, sys\n"
         "import numpy as np\n"
         "from slidecodec import _lzw_native, _lzw_py\n"
-        "from lzw_cases import (assert_identical, damaged_cases, edge_cases, reset_cases,\n"
-        "                       run_cases, short_cases, tail_cases, writer_cases)\n"
-        "rng = np.random.default_rng(36)\n"
-        "assert_identical(_lzw_native, _lzw_py,\n"
-        "                 short_cases(rng) + reset_cases() + run_cases() + writer_cases(),\n"
-        "                 damaged_cases(rng) + edge_cases() + tail_cases())\n"
+        "from lzw_cases import assert_matches\n"
+        "with open(sys.argv[1], 'rb') as f:\n"
+        "    for group in pickle.load(f):\n"
+        "        assert_matches(_lzw_native, *group)\n"
         "from stage_cases import check_stages\n"
         "check_stages(_lzw_native, _lzw_py, np.random.default_rng(37), 25)\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=300)
+    out = subprocess.run([sys.executable, "-c", script, str(identity_pickle)], capture_output=True,
+                         text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert len(list((tmp_path / "slidecodec").glob("_lzw-*.so"))) == 1
 
 
-def test_backends_byte_identical_under_ubsan(tmp_path):
+def test_backends_byte_identical_under_ubsan(identity_pickle, tmp_path):
     # -fno-sanitize-recover turns any undefined behaviour into an abort, so a
     # clean exit means none was hit
-    _identity_under(tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all")
+    _identity_under(identity_pickle, tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all")
 
 
-def test_backends_byte_identical_under_asan(tmp_path):
+def test_backends_byte_identical_under_asan(identity_pickle, tmp_path):
     # the interpreter itself is not instrumented, so the runtime is preloaded;
     # any out-of-bounds access in the kernel's heap buffers aborts the run.
     # Leak checking is off: the interpreter keeps memory until exit.
     cc = (os.environ.get("CC") or "cc").split()
     runtime = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, check=True).stdout.strip()
-    _identity_under(tmp_path, "-fsanitize=address -fno-omit-frame-pointer",
+    _identity_under(identity_pickle, tmp_path, "-fsanitize=address -fno-omit-frame-pointer",
                     LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
 
 

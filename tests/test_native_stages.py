@@ -57,8 +57,7 @@ def test_bitplanes_match_numpy(native, h, w, c, layout, seed):
 
 
 def test_backends_share_one_interface(native):
-    names = ("encode", "decode", "encode_trace", "project", "unproject", "to_bitplanes",
-             "from_bitplanes")
+    names = ("encode", "decode", "project", "unproject", "to_bitplanes", "from_bitplanes")
     for name in names:
         assert inspect.signature(getattr(native, name)) == \
             inspect.signature(getattr(_lzw_py, name)), name
