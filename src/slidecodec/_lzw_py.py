@@ -19,6 +19,8 @@ LZW wire rules shared by both backends (and by the stream format):
   the step that assigns the first code needing an extra bit; the reader uses
   bit_length(next_code), being one dictionary entry behind the writer
 * every stream ends with END; the final partial byte is zero-padded
+* max_width is an integer in [MIN_WIDTH, MAX_WIDTH]; streams that do not
+  state it use DEFAULT_MAX_WIDTH
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ CLEAR = 256
 END = 257
 FIRST_CODE = 258
 MIN_WIDTH = 9
+MAX_WIDTH = 20
+DEFAULT_MAX_WIDTH = 16
 
 
 def encode(data, max_width: int) -> bytes:

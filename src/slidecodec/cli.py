@@ -2,7 +2,10 @@
 
 Machine-readable output (JSON, CSV, tables) goes to stdout; diagnostics and
 timing go to stderr so piped output stays clean. Exit code 0 means full
-success.
+success. Bad option values exit 2 with a usage error before any input is
+read: counts, dimensions and seeds are checked as they are parsed, then
+``CompressionConfig`` checks the patch size and LZW width. Bad input contents
+(a raster, container or file that cannot be read) exit 1 with an error line.
 """
 
 import argparse
@@ -19,7 +22,7 @@ import numpy as np
 
 from .container import read_container, tile_grid
 from .errors import CodecError
-from .lzw import BACKEND
+from .lzw import BACKEND, MAX_WIDTH, MIN_WIDTH, check_int
 from .metrics import compression_ratio, entropy_trace, psnr_matrix
 from .pipeline import CompressionConfig, compress, decompress
 from .rasters import read_image, write_image
@@ -27,30 +30,30 @@ from .synthetic import corpus
 
 _EXT_FORMAT = {".pgm": "pgm", ".ppm": "ppm", ".pam": "pam", ".raw": "raw", ".bin": "raw"}
 _CHANNEL_FORMAT = {1: "pgm", 3: "ppm", 4: "pam"}
+_ABLATION_ROWS = (
+    ("lzw", CompressionConfig(enable_projection=False, enable_bitplane=False)),
+    ("lzw+projection", CompressionConfig(enable_bitplane=False)),
+    ("lzw+projection+bitplane", CompressionConfig()),
+)
 
 
-def _config_from(args) -> CompressionConfig:
-    return CompressionConfig(
-        patch_size=args.patch_size,
+def _configs(args) -> list:
+    """``(name, CompressionConfig)`` pairs to run: the three stage combinations
+    of ``bench --ablation`` at the given knobs, else the one the flags ask for."""
+    knobs = {"patch_size": args.patch_size, "lzw_max_width": args.lzw_max_width}
+    if getattr(args, "ablation", False):
+        return [(name, dataclasses.replace(base, **knobs)) for name, base in _ABLATION_ROWS]
+    return [("requested", CompressionConfig(
         drop_alpha=getattr(args, "drop_alpha", False),
         enable_projection=not args.no_projection,
         enable_bitplane=not args.no_bitplane,
-        lzw_max_width=args.lzw_max_width,
-    )
+        **knobs,
+    ))]
 
 
 def _load_raster(args):
-    if args.raw:
-        if not (args.width and args.height and args.channels):
-            raise CodecError("--raw needs --width, --height, and --channels")
-        return read_image(
-            args.input,
-            "raw",
-            width=args.width,
-            height=args.height,
-            channels=args.channels,
-        )
-    return read_image(args.input)
+    return read_image(args.input, "raw" if args.raw else None,
+                      width=args.width, height=args.height, channels=args.channels)
 
 
 def _atomic_write(path, data: bytes):
@@ -69,19 +72,21 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def _threads(text: str) -> int:
-    """``--threads``: a worker count of at least 1."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _at_least(low: int):
+    """An argparse ``type``: an integer of at least ``low``, as ``check_int`` rules."""
+    def integer(text: str) -> int:
+        try:
+            return check_int("value", int(text), low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return integer
 
 
 def _add_raster_input_flags(sub):
     sub.add_argument("--raw", action="store_true", help="headerless raw input bytes")
-    sub.add_argument("--width", type=int, help="raw input width")
-    sub.add_argument("--height", type=int, help="raw input height")
-    sub.add_argument("--channels", type=int, help="raw input channel count")
+    sub.add_argument("--width", type=_at_least(1), help="raw input width")
+    sub.add_argument("--height", type=_at_least(1), help="raw input height")
+    sub.add_argument("--channels", type=_at_least(1), help="raw input channel count")
 
 
 def _add_stage_flags(sub):
@@ -97,13 +102,13 @@ def _add_stage_flags(sub):
         "--lzw-max-width",
         type=int,
         default=CompressionConfig.lzw_max_width,
-        help="LZW code width ceiling in bits (9-20)",
+        help=f"LZW code width ceiling in bits ({MIN_WIDTH}-{MAX_WIDTH})",
     )
 
 
 def cmd_compress(args) -> int:
+    [(_, config)] = args.configs
     image = _load_raster(args)
-    config = _config_from(args)
     start = time.perf_counter()
     blob = compress(image, config, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -154,8 +159,8 @@ def _psnr_records(matrix):
 
 
 def cmd_analyze(args) -> int:
+    [(_, config)] = args.configs
     image = _load_raster(args)
-    config = _config_from(args)
     h, w, _ = image.shape
     patches = []
     for r, c, th, tw in tile_grid(h, w, config.patch_size):
@@ -189,13 +194,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_ABLATION_ROWS = (
-    ("lzw", CompressionConfig(enable_projection=False, enable_bitplane=False)),
-    ("lzw+projection", CompressionConfig(enable_bitplane=False)),
-    ("lzw+projection+bitplane", CompressionConfig()),
-)
-
-
 def _bench_corpus(args):
     if args.synthetic:
         return [
@@ -214,14 +212,7 @@ def _bench_corpus(args):
 def cmd_bench(args) -> int:
     images = _bench_corpus(args)
     rows = []
-    if args.ablation:
-        combos = _ABLATION_ROWS
-    else:
-        combos = (("requested", _config_from(args)),)
-    for name, base in combos:
-        config = dataclasses.replace(
-            base, patch_size=args.patch_size, lzw_max_width=args.lzw_max_width
-        )
+    for name, config in args.configs:
         total_in = total_out = 0
         peak_payload = 0
         start = time.perf_counter()
@@ -279,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage_flags(p)
     p.add_argument("--drop-alpha", action="store_true",
                    help="discard the alpha channel of RGBA input (lossy)")
-    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
     _add_raster_input_flags(p)
     p.set_defaults(func=cmd_compress)
 
@@ -288,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--format", choices=("pgm", "ppm", "pam", "raw"),
                    help="output format (default: from extension, then channel count)")
-    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser(
@@ -307,20 +298,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compression ratio table over a corpus")
     p.add_argument("--corpus", help="directory of raster files")
-    p.add_argument("--synthetic", type=int, metavar="N",
+    p.add_argument("--synthetic", type=_at_least(1), metavar="N",
                    help="use N generated slide-like images")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--ablation", action="store_true",
                    help="compare lzw / +projection / +bitplane stage combinations")
     _add_stage_flags(p)
-    p.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "patch_size" in args:  # compress, analyze and bench
+        try:
+            args.configs = _configs(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except CodecError as exc:

@@ -5,7 +5,9 @@ Byte-exact layout, all integers little-endian:
     magic            4 bytes, ASCII "WISE"
     version          u16 (this writer emits 1; readers reject 0 and anything newer)
     flags            u16: bit 0 = alpha channel was dropped,
-                          bits 1-5 = LZW max code width (0 means default 16)
+                          bits 1-5 = LZW max code width (0 means the default,
+                          ``lzw.DEFAULT_MAX_WIDTH``), bits 6-15 reserved:
+                          written as zero, and a reader rejects any set
     original width   u32
     original height  u32
     channels         u8
@@ -32,6 +34,7 @@ bit as a continuation flag.
 import struct
 from dataclasses import dataclass, field
 
+from ._lzw_py import DEFAULT_MAX_WIDTH, MAX_WIDTH, MIN_WIDTH
 from .errors import (
     BadMagicError,
     IndexInconsistencyError,
@@ -67,6 +70,7 @@ _U32 = 1 << 32
 _FLAG_ALPHA = 0x0001
 _WIDTH_SHIFT = 1
 _WIDTH_MASK = 0x1F
+_FLAG_RESERVED = 0xFFFF & ~(_FLAG_ALPHA | _WIDTH_MASK << _WIDTH_SHIFT)
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class ContainerHeader:
     channels: int
     patch_size: int
     alpha_dropped: bool = False
-    lzw_max_width: int = 16
+    lzw_max_width: int = DEFAULT_MAX_WIDTH
     version: int = VERSION
     bit_depth: int = 8
 
@@ -136,8 +140,10 @@ def _validate(header, removed_rows, removed_cols, records, payloads):
         raise StructuralError("only 8-bit samples are supported")
     if not 0 < header.patch_size < _U32:
         raise StructuralError(f"patch size {header.patch_size} must be positive and fit its u32")
-    if not 9 <= header.lzw_max_width <= 20:
-        raise StructuralError(f"LZW max width {header.lzw_max_width} outside [9, 20]")
+    if not MIN_WIDTH <= header.lzw_max_width <= MAX_WIDTH:
+        raise StructuralError(
+            f"LZW max width {header.lzw_max_width} outside [{MIN_WIDTH}, {MAX_WIDTH}]"
+        )
     _check_index_list("row", removed_rows, header.original_height)
     _check_index_list("column", removed_cols, header.original_width)
     if len(records) != len(payloads):
@@ -279,8 +285,11 @@ def read_container(data: bytes) -> Container:
         )
     if version < 1:
         raise UnsupportedVersionError("container version 0 does not exist; versions start at 1")
+    if flags & _FLAG_RESERVED:
+        bits = [b for b in range(16) if flags & _FLAG_RESERVED & 1 << b]
+        raise StructuralError(f"reserved flag bits {bits} are set (flags {flags:#06x})")
     width, height, channels, bit_depth, patch_size = r.unpack("<IIBBI", "header")
-    lzw_max_width = (flags >> _WIDTH_SHIFT) & _WIDTH_MASK or 16
+    lzw_max_width = (flags >> _WIDTH_SHIFT) & _WIDTH_MASK or DEFAULT_MAX_WIDTH
     header = ContainerHeader(
         original_width=width,
         original_height=height,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lzw_py
-from ._lzw_py import CLEAR, END, FIRST_CODE, MIN_WIDTH
+from ._lzw_py import CLEAR, DEFAULT_MAX_WIDTH, END, FIRST_CODE, MAX_WIDTH, MIN_WIDTH
 from .errors import TruncatedStreamError
 
 __all__ = [
@@ -27,13 +27,13 @@ __all__ = [
     "CLEAR",
     "END",
     "DEFAULT_MAX_WIDTH",
+    "MAX_WIDTH",
+    "MIN_WIDTH",
     "CodeTrace",
     "lzw_encode",
     "lzw_decode",
     "lzw_encode_trace",
 ]
-
-DEFAULT_MAX_WIDTH = 16
 
 _kernel = _lzw_py
 if not os.environ.get("SLIDECODEC_PURE"):
@@ -85,14 +85,14 @@ def _flat(view: memoryview):
 def lzw_encode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> bytes:
     """Encode a byte string, or any buffer's bytes in C order; empty input
     encodes to just the END code."""
-    max_width = check_int("max_width", max_width, 9, 20)
+    max_width = check_int("max_width", max_width, MIN_WIDTH, MAX_WIDTH)
     return _kernel.encode(_flat(memoryview(data)), max_width)
 
 
 def check_decoded_size(nbytes: int, size: int) -> None:
     """Raise TruncatedStreamError when no ``nbytes``-byte stream decodes to ``size`` bytes.
 
-    ``nbytes`` bytes hold at most m = 8 * nbytes // 9 codes, the last of
+    ``nbytes`` bytes hold at most m = 8 * nbytes // MIN_WIDTH codes, the last of
     them END, and the j-th data code after a reset stands for at most j
     bytes, so no stream decodes to more than m * (m - 1) / 2 bytes.
     """
@@ -113,7 +113,7 @@ def lzw_decode(data: bytes, max_width: int = DEFAULT_MAX_WIDTH, *, size: int) ->
     flat byte memoryview. Decoding raises CorruptStreamError as soon as a
     code would pass ``size``, or when END arrives short of it.
     """
-    max_width = check_int("max_width", max_width, 9, 20)
+    max_width = check_int("max_width", max_width, MIN_WIDTH, MAX_WIDTH)
     size = check_int("size", size, 0)
     view = memoryview(data)
     check_decoded_size(view.nbytes, size)
@@ -124,7 +124,7 @@ def _read_codes(packed: bytes, max_width: int) -> tuple:
     """(codes, peak next code) of an encoder's packed stream, read without a dictionary.
 
     A code's width depends only on ``count``, the data codes read since the
-    last CLEAR: it is bit_length(next_code) clamped to [9, max_width], with
+    last CLEAR: it is bit_length(next_code) clamped to [MIN_WIDTH, max_width], with
     the decoder's next_code = min(FIRST_CODE + max(count - 1, 0),
     2**max_width). So the codes come in runs of one width, each read with
     numpy in one step up to its first CLEAR or END. A run ends where
@@ -158,7 +158,7 @@ def _read_codes(packed: bytes, max_width: int) -> tuple:
 
 def lzw_encode_trace(data: bytes, max_width: int = DEFAULT_MAX_WIDTH) -> CodeTrace:
     """:func:`lzw_encode`, with the codes and peak read back from its output."""
-    max_width = check_int("max_width", max_width, 9, 20)
-    packed = lzw_encode(data, max_width)
+    max_width = check_int("max_width", max_width, MIN_WIDTH, MAX_WIDTH)
+    packed = _kernel.encode(_flat(memoryview(data)), max_width)
     codes, peak = _read_codes(packed, max_width)
     return CodeTrace(codes, packed, MIN_WIDTH, max_width, peak)

@@ -11,12 +11,13 @@ is a view of the image where no removed line crosses it, and otherwise it
 moves one run of consecutive kept columns at a time, through slices.
 
 ``threads`` counts every thread that works on a call's tiles, the calling
-thread included: the caller starts ``min(threads, tiles) - 1`` helper
-threads and works beside them, each pulling the next tile index, one at a
-time, until none is left. Results are committed in row-major tile order, so
-output bytes do not depend on the thread count, and the error raised is that
-of the first failing tile in tile order, the one a single thread would
-raise. With one thread or one tile the caller runs every tile alone.
+thread included: the caller starts up to ``min(threads, tiles) - 1`` helper
+threads (fewer if the system refuses one) and works beside them, each
+pulling the next tile index, one at a time, until none is left. Results
+are committed in row-major tile order, so output bytes do not depend on the
+thread count, and the error raised is that of the first failing tile in
+tile order, the one a single thread would raise. With one thread or one
+tile the caller runs every tile alone.
 
 Each stage of a tile is one call, looked up as a module global when it is
 made (so a tracer can wrap it from outside). With the native backend (see
@@ -47,7 +48,8 @@ from .container import (
     write_container,
 )
 from .errors import CodecError, StructuralError, UnsupportedLayoutError
-from .lzw import DEFAULT_MAX_WIDTH, check_decoded_size, check_int, lzw_decode, lzw_encode
+from .lzw import (DEFAULT_MAX_WIDTH, MAX_WIDTH, MIN_WIDTH, check_decoded_size, check_int,
+                  lzw_decode, lzw_encode)
 from .transform import project, unproject
 
 __all__ = [
@@ -73,7 +75,7 @@ class CompressionConfig:
 
     def __post_init__(self):
         check_int("patch_size", self.patch_size, 1, 2**32 - 1)  # a u32 in the container
-        check_int("lzw_max_width", self.lzw_max_width, 9, 20)
+        check_int("lzw_max_width", self.lzw_max_width, MIN_WIDTH, MAX_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -283,10 +285,13 @@ def _decode_tile(record, payload, channels, max_width, dest=None):
 def _run(jobs, worker, threads):
     """``[worker(j) for j in jobs]`` on up to ``threads`` threads, caller included.
 
-    The caller starts ``min(threads, len(jobs)) - 1`` helpers, possibly
-    none; then it and they pull job indices one at a time from one shared
-    iterator (its ``next`` is a single C call, so no index is handed out
-    twice) and store each result at its index. A thread that has run a job
+    The caller starts up to ``min(threads, len(jobs)) - 1`` helpers,
+    possibly none: a ``RuntimeError`` from ``Thread.start`` (no thread to be
+    had) stops the starting, and the call runs on the threads it has. Every
+    helper started is joined before the call returns or raises. The threads
+    pull job indices one at a time from one shared iterator (its ``next``
+    is a single C call, so no index is handed out twice) and store each
+    result at its index. A thread that has run a job
     stops pulling once any job has failed. Every job is run to the end by
     whoever pulled it and indices are pulled in order, so every job before
     the lowest failing index has run and succeeded: that failure, the one
@@ -305,10 +310,15 @@ def _run(jobs, worker, threads):
             if failures:
                 return
 
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(jobs)) - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
     try:
+        for _ in range(min(threads, len(jobs)) - 1):
+            helper = threading.Thread(target=work)
+            try:
+                helper.start()
+            except RuntimeError:
+                break
+            helpers.append(helper)
         work()
     finally:
         for helper in helpers:

@@ -1,9 +1,15 @@
 """Flat raster ingestion and emission: binary PGM/PPM, PAM, and raw bytes.
 
 Samples pass through untouched in both directions; only 8-bit depth
-(maxval 255) is accepted. Raw mode is headerless interleaved bytes and needs
-explicit dimensions.
+(maxval 255) is accepted. One table gives each headed format its magic bytes,
+for sniffing, reading and writing alike, and one gives PGM and PPM their
+channel counts. Header tokens are whitespace-separated, and a ``#`` outside a
+token starts a comment that runs to the end of its line. Raw mode is
+headerless interleaved bytes and needs explicit dimensions: a width and
+height of at least 1, as a header must state, and 1, 3 or 4 channels.
 """
+
+import re
 
 import numpy as np
 
@@ -16,7 +22,13 @@ from .errors import (
 
 __all__ = ["read_image", "write_image", "sniff_format"]
 
-_PAM_TUPLTYPES = {1: "GRAYSCALE", 3: "RGB", 4: "RGB_ALPHA"}
+_MAGIC = {"pgm": b"P5", "ppm": b"P6", "pam": b"P7"}
+_PNM_CHANNELS = {"pgm": 1, "ppm": 3}
+_PAM_TUPLTYPES = {1: b"GRAYSCALE", 3: b"RGB", 4: b"RGB_ALPHA"}
+# Whitespace and comments, then a token. The lookahead makes a comment run
+# to the end of its line, so a failed match cannot backtrack into one and
+# find a token there; the pattern is only ever used anchored, with match().
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)")
 
 
 def _as_bytes(source):
@@ -30,27 +42,15 @@ def _as_bytes(source):
 
 def sniff_format(data: bytes):
     """Format name from the magic bytes, or None for unrecognized data."""
-    return {b"P5": "pgm", b"P6": "ppm", b"P7": "pam"}.get(data[:2])
+    return {magic: format for format, magic in _MAGIC.items()}.get(data[:2])
 
 
 def _next_token(data, pos):
     """Skip whitespace and # comments, return (token, new position)."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if match is None:
         raise MalformedHeaderError("header ended while a token was expected")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _int_token(data, pos, what):
@@ -72,7 +72,7 @@ def _pixels(data, pos, height, width, channels, what):
     return arr.reshape(height, width, channels)
 
 
-def _read_pnm(data, magic, channels):
+def _read_pnm(data, format):
     width, pos = _int_token(data, 2, "width")
     height, pos = _int_token(data, pos, "height")
     maxval, pos = _int_token(data, pos, "maxval")
@@ -83,7 +83,8 @@ def _read_pnm(data, magic, channels):
     # exactly one whitespace byte separates the header from the samples
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise MalformedHeaderError("missing whitespace after maxval")
-    return _pixels(data, pos + 1, height, width, channels, magic.decode())
+    what = _MAGIC[format].decode()
+    return _pixels(data, pos + 1, height, width, _PNM_CHANNELS[format], what)
 
 
 def _read_pam(data):
@@ -131,24 +132,19 @@ def read_image(source, format=None, width=None, height=None, channels=None):
                 f"unrecognized magic {data[:2]!r}; use raw mode with explicit dimensions"
             )
     if format == "raw":
-        if not (width and height and channels):
+        if width is None or height is None or channels is None:
             raise ImageFormatError("raw mode needs width, height, and channels")
+        if width < 1 or height < 1:
+            raise ImageFormatError(f"bad dimensions {width}x{height}")
         if channels not in (1, 3, 4):
             raise ImageFormatError(f"unsupported channel count {channels}")
         return _pixels(data, 0, height, width, channels, "raw")
-    if format == "pgm":
-        if data[:2] != b"P5":
-            raise MalformedHeaderError(f"not a binary PGM: magic {data[:2]!r}")
-        return _read_pnm(data, b"P5", 1)
-    if format == "ppm":
-        if data[:2] != b"P6":
-            raise MalformedHeaderError(f"not a binary PPM: magic {data[:2]!r}")
-        return _read_pnm(data, b"P6", 3)
-    if format == "pam":
-        if data[:2] != b"P7":
-            raise MalformedHeaderError(f"not a PAM: magic {data[:2]!r}")
-        return _read_pam(data)
-    raise ImageFormatError(f"unknown format {format!r}")
+    magic = _MAGIC.get(format)
+    if magic is None:
+        raise ImageFormatError(f"unknown format {format!r}")
+    if data[:2] != magic:
+        raise MalformedHeaderError(f"not a binary {format.upper()}: magic {data[:2]!r}")
+    return _read_pam(data) if format == "pam" else _read_pnm(data, format)
 
 
 def write_image(image, format) -> bytes:
@@ -159,20 +155,17 @@ def write_image(image, format) -> bytes:
     body = np.ascontiguousarray(image).tobytes()
     if format == "raw":
         return body
-    if format == "pgm":
-        if c != 1:
-            raise ImageFormatError(f"PGM holds 1 channel, image has {c}")
-        return b"P5\n%d %d\n255\n" % (w, h) + body
-    if format == "ppm":
-        if c != 3:
-            raise ImageFormatError(f"PPM holds 3 channels, image has {c}")
-        return b"P6\n%d %d\n255\n" % (w, h) + body
+    magic = _MAGIC.get(format)
+    if magic is None:
+        raise ImageFormatError(f"unknown format {format!r}")
     if format == "pam":
         if c not in _PAM_TUPLTYPES:
             raise ImageFormatError(f"PAM supports 1/3/4 channels, image has {c}")
-        header = (
-            b"P7\nWIDTH %d\nHEIGHT %d\nDEPTH %d\nMAXVAL 255\nTUPLTYPE %s\nENDHDR\n"
-            % (w, h, c, _PAM_TUPLTYPES[c].encode())
-        )
-        return header + body
-    raise ImageFormatError(f"unknown format {format!r}")
+        header = (b"%s\nWIDTH %d\nHEIGHT %d\nDEPTH %d\nMAXVAL 255\nTUPLTYPE %s\nENDHDR\n"
+                  % (magic, w, h, c, _PAM_TUPLTYPES[c]))
+    elif c == _PNM_CHANNELS[format]:
+        header = b"%s\n%d %d\n255\n" % (magic, w, h)
+    else:
+        raise ImageFormatError(f"{format.upper()} holds {_PNM_CHANNELS[format]} "
+                               f"channel(s), image has {c}")
+    return header + body

@@ -189,6 +189,34 @@ def test_threads_below_one_rejected(command, threads, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+_RAW = ["--raw", "--width", "4", "--height", "4", "--channels", "3"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    *[(["compress", "in.ppm", "out.wsc", "--patch-size", v], "patch_size")
+      for v in ("0", "-3", "4294967296")],
+    *[(["compress", "in.ppm", "out.wsc", "--lzw-max-width", v], "lzw_max_width")
+      for v in ("8", "25")],
+    (["analyze", "in.ppm", "--patch-size", "0"], "patch_size"),
+    (["bench", "--synthetic", "1", "--ablation", "--patch-size", "0"], "patch_size"),
+    (["bench", "--synthetic", "1", "--ablation", "--lzw-max-width", "25"], "lzw_max_width"),
+    (["bench", "--synthetic", "1", "--seed", "-1"], "--seed"),
+    (["bench", "--synthetic", "0"], "--synthetic"),
+    (["bench", "--synthetic", "-2"], "--synthetic"),
+    *[([command, *paths, *_RAW, option, value], option)
+      for command, paths in (("compress", ["in.raw", "out.wsc"]), ("analyze", ["in.raw"]))
+      for option, value in (("--width", "-5"), ("--height", "0"), ("--channels", "0"))],
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_option_values_exit_two(argv, named, capsys):
+    # the inputs do not exist: option values are checked before any is read
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert err.count("error:") == 1
+
+
 def test_bench_stdout_deterministic(capsys):
     argv = ["bench", "--synthetic", "3", "--seed", "7", "--patch-size", "64"]
     assert main([*argv, "--threads", "1"]) == 0

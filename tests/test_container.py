@@ -175,6 +175,17 @@ def test_width_flag_round_trip(width):
     assert read_container(blob).header.lzw_max_width == width
 
 
+@pytest.mark.parametrize("bit", range(6, 16))
+def test_reserved_flag_bits_rejected(bit):
+    # flags is the u16 after the magic and version; bits 6-15 are reserved
+    blob = bytearray(write_container(*small_container()))
+    (flags,) = struct.unpack_from("<H", blob, 6)
+    assert flags == 16 << 1  # the writer sets only the width bits here
+    struct.pack_into("<H", blob, 6, flags | 1 << bit)
+    with pytest.raises(StructuralError, match=rf"reserved flag bits \[{bit}\]"):
+        read_container(bytes(blob))
+
+
 def test_tiling_mismatch_rejected():
     header = ContainerHeader(3, 2, 1, 16)
     rec = PatchRecord(0, 0, 1, 3, 3, 2, STAGE_LZW)  # misses the second row

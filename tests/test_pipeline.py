@@ -430,6 +430,31 @@ def test_one_thread_or_one_tile_runs_on_the_caller(thread_log, threads, shape):
     assert thread_log["started"] == 0
 
 
+def test_a_refused_helper_start_runs_on_the_threads_started(monkeypatch):
+    # the second Thread.start of each call raises, as when the system has no
+    # thread to give: the call finishes on the caller and the one helper it
+    # has, with the 1-thread bytes, and joins that helper before returning
+    image = np.random.default_rng(62).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    config = CompressionConfig(patch_size=16)
+    blob = compress(image, config, threads=1)
+    start = threading.Thread.start
+    starts = []
+
+    def refuse_second_start(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_second_start)
+    before = threading.active_count()
+    assert compress(image, config, threads=3) == blob
+    assert threading.active_count() == before and len(starts) == 2
+    starts.clear()
+    assert np.array_equal(decompress(blob, threads=3), image)
+    assert threading.active_count() == before and len(starts) == 2
+
+
 def test_import_does_not_load_an_executor():
     # concurrent.futures, with the logging and queue it imports, cost
     # about 8 ms of every fresh interpreter's set-up

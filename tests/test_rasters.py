@@ -9,7 +9,7 @@ from slidecodec.errors import (
     TruncatedDataError,
     UnsupportedDepthError,
 )
-from slidecodec.rasters import read_image, sniff_format, write_image
+from slidecodec.rasters import _next_token, read_image, sniff_format, write_image
 
 
 def test_p6_golden_header():
@@ -45,6 +45,15 @@ def test_raw_requires_dimensions():
         read_image(b"\x00" * 4, format="raw")
 
 
+@pytest.mark.parametrize("width,height,channels", [
+    (-5, 5, 3), (5, -5, 3), (0, 5, 3), (5, 0, 1), (5, 5, 0), (5, 5, 2), (None, 5, 3)])
+def test_raw_rejects_bad_dimensions(width, height, channels):
+    # a raw width or height below 1 is refused as a header's is, not read
+    # as some other shape of the same bytes
+    with pytest.raises(ImageFormatError):
+        read_image(bytes(300), "raw", width=width, height=height, channels=channels)
+
+
 def test_sniff_format():
     assert sniff_format(b"P5\n1 1\n255\n\x00") == "pgm"
     assert sniff_format(b"P6\n1 1\n255\n\x00\x00\x00") == "ppm"
@@ -67,6 +76,39 @@ def test_read_from_path_and_stream(tmp_path):
 def test_header_comments_and_whitespace():
     blob = b"P5\n# a comment\n 2 \t2\n# another\n255\n" + bytes(4)
     assert read_image(blob).shape == (2, 2, 1)
+
+
+def _tokens(data):
+    """Every header token after the magic, and the position after the last."""
+    tokens, pos = [], 2
+    while True:
+        try:
+            token, pos = _next_token(data, pos)
+        except MalformedHeaderError:
+            return tokens, pos
+        tokens.append(token)
+
+
+@pytest.mark.parametrize("header,tokens,end", [
+    (b"P5 #abc", [], 2),  # a comment that runs to the end of the data
+    (b"P5 1 1 #x\n", [b"1", b"1"], 6),  # a comment, then the end of the data
+    (b"P5 1#x 1 255\n", [b"1#x", b"1", b"255"], 12),  # '#' inside a token
+    (b"P5#c\n1 1 255\n", [b"1", b"1", b"255"], 12),  # a comment right after the magic
+    (b"P5\x0b1\x0c1\x0b\x0c255\n", [b"1", b"1", b"255"], 11),  # VT and FF
+    (b"P5\x0b\t#\n\x0b \t", [], 2),  # no token after the comment
+    (b"P5 #c\r2 #d\n\r3", [b"2", b"3"], 13),  # CR ends a comment too
+    (b"P5 ##\n#\n5#", [b"5#"], 10),
+])
+def test_header_tokens(header, tokens, end):
+    assert _tokens(header) == (tokens, end)
+
+
+def test_header_token_edges_through_read_image():
+    assert read_image(b"P5#c\n1 1 255\n\x07").tolist() == [[[7]]]
+    assert read_image(b"P5\x0b1\x0c1\x0b\x0c255\x0b\x07").tolist() == [[[7]]]
+    for header in (b"P5 #abc", b"P5 1 1 #x\n", b"P5 1#x 1 255\n\x07"):
+        with pytest.raises(MalformedHeaderError):
+            read_image(header)
 
 
 def test_maxval_not_255_rejected():
