@@ -4,7 +4,8 @@ Machine-readable output (JSON, CSV, tables) goes to stdout; diagnostics and
 timing go to stderr so piped output stays clean. Exit code 0 means full
 success. Bad option values exit 2 with a usage error before any input is
 read: counts, dimensions and seeds are checked as they are parsed, then
-``CompressionConfig`` checks the patch size and LZW width. Bad input contents
+``CompressionConfig`` checks the patch size and LZW width, reported with the
+subcommand's usage line. Bad input contents
 (a raster, container or file that cannot be read) exit 1 with an error line.
 """
 
@@ -24,7 +25,8 @@ from .container import read_container, tile_grid
 from .errors import CodecError
 from .lzw import BACKEND, MAX_WIDTH, MIN_WIDTH, check_int
 from .metrics import compression_ratio, entropy_trace, psnr_matrix
-from .pipeline import CompressionConfig, compress, decompress
+from .pipeline import (DECODE_THREADS_MIN_TILE, ENCODE_THREADS_MIN_TILE, CompressionConfig,
+                       compress, decompress)
 from .rasters import read_image, write_image
 from .synthetic import corpus
 
@@ -90,6 +92,7 @@ def _add_raster_input_flags(sub):
 
 
 def _add_stage_flags(sub):
+    sub.set_defaults(parser=sub)  # reports a bad CompressionConfig with its usage
     sub.add_argument("--patch-size", type=int, default=CompressionConfig.patch_size,
                      help="tile edge length")
     sub.add_argument(
@@ -103,6 +106,14 @@ def _add_stage_flags(sub):
         type=int,
         default=CompressionConfig.lzw_max_width,
         help=f"LZW code width ceiling in bits ({MIN_WIDTH}-{MAX_WIDTH})",
+    )
+
+
+def _add_threads_flag(sub, min_tile):
+    sub.add_argument(
+        "--threads", type=_at_least(1), default=os.cpu_count() or 1,
+        help="threads working on an image's tiles, the caller included (default: the "
+        f"CPU count); no helper thread starts for tiles under {min_tile // 1024} KiB",
     )
 
 
@@ -200,8 +211,6 @@ def _bench_corpus(args):
             (f"synthetic-{i}", img)
             for i, img in enumerate(corpus(args.synthetic, args.seed))
         ]
-    if not args.corpus:
-        raise CodecError("bench needs --synthetic N or --corpus DIR")
     paths = sorted(p for p in Path(args.corpus).iterdir() if p.is_file())
     images = [(p.name, read_image(p)) for p in paths]
     if not images:
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage_flags(p)
     p.add_argument("--drop-alpha", action="store_true",
                    help="discard the alpha channel of RGBA input (lossy)")
-    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    _add_threads_flag(p, ENCODE_THREADS_MIN_TILE)
     _add_raster_input_flags(p)
     p.set_defaults(func=cmd_compress)
 
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--format", choices=("pgm", "ppm", "pam", "raw"),
                    help="output format (default: from extension, then channel count)")
-    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    _add_threads_flag(p, DECODE_THREADS_MIN_TILE)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser(
@@ -297,14 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bench", help="compression ratio table over a corpus")
-    p.add_argument("--corpus", help="directory of raster files")
-    p.add_argument("--synthetic", type=_at_least(1), metavar="N",
-                   help="use N generated slide-like images")
+    images = p.add_mutually_exclusive_group(required=True)
+    images.add_argument("--corpus", help="directory of raster files")
+    images.add_argument("--synthetic", type=_at_least(1), metavar="N",
+                        help="use N generated slide-like images")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--ablation", action="store_true",
                    help="compare lzw / +projection / +bitplane stage combinations")
     _add_stage_flags(p)
-    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    _add_threads_flag(p, ENCODE_THREADS_MIN_TILE)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -317,7 +327,7 @@ def main(argv=None) -> int:
         try:
             args.configs = _configs(args)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     try:
         return args.func(args)
     except CodecError as exc:

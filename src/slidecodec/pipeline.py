@@ -19,6 +19,14 @@ thread count, and the error raised is that of the first failing tile in
 tile order, the one a single thread would raise. With one thread or one
 tile the caller runs every tile alone.
 
+Helpers start only where they pay: when a call's full tile (the first in
+``tile_grid`` order, ``h * w * c`` raw bytes) holds fewer than
+``ENCODE_THREADS_MIN_TILE`` bytes on compression or
+``DECODE_THREADS_MIN_TILE`` on decompression, the caller runs every tile
+alone, as with ``threads=1``. Below those sizes a tile's stage calls are
+shorter than the interpreter-lock hand-offs between them, and a second
+thread makes the call slower (``notes/decisions.md``).
+
 Each stage of a tile is one call, looked up as a module global when it is
 made (so a tracer can wrap it from outside). With the native backend (see
 ``lzw``) each of those calls is one C kernel call that releases the
@@ -282,6 +290,19 @@ def _decode_tile(record, payload, channels, max_width, dest=None):
         raise _in_patch(record, exc) from exc
 
 
+# Smallest full tile, in raw bytes, at which tile threads beat one thread.
+# Encode stage calls take several times longer per byte than decode ones,
+# so the two directions cross over at different sizes.
+ENCODE_THREADS_MIN_TILE = 24 * 1024
+DECODE_THREADS_MIN_TILE = 96 * 1024
+
+
+def _threads_for(threads, tile_bytes, min_tile):
+    """``threads``, or 1 when the call's full tile holds fewer than
+    ``min_tile`` raw bytes."""
+    return threads if tile_bytes >= min_tile else 1
+
+
 def _run(jobs, worker, threads):
     """``[worker(j) for j in jobs]`` on up to ``threads`` threads, caller included.
 
@@ -347,6 +368,8 @@ def compress(image, config=None, threads=1) -> bytes:
         (crop.cropped[r : r + th, c : c + tw], r, c)
         for r, c, th, tw in tile_grid(ch, cw, config.patch_size)
     ]
+    if tiles:
+        threads = _threads_for(threads, tiles[0][0].nbytes, ENCODE_THREADS_MIN_TILE)
     results = _run(tiles, lambda t: _encode_tile(t[0], t[1], t[2], config), threads)
     header = ContainerHeader(
         original_width=crop.original_width,
@@ -403,5 +426,7 @@ def decompress(data, threads=1) -> np.ndarray:
             for tile_cols, cols in runs:
                 out[rows, cols] = tile[:, tile_cols]
 
+    if cont.records:
+        threads = _threads_for(threads, cont.records[0].raw_len, DECODE_THREADS_MIN_TILE)
     _run(list(zip(cont.records, cont.payloads)), place, threads)
     return out

@@ -275,6 +275,7 @@ def test_criterion_8_throughput_informational(eval_corpus):
             f"(non-gating)")
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_criterion_9_determinism(tmp_path, capsys):
     image = corpus(1, 33, height=128, width=128)[0]
     src = tmp_path / "in.ppm"

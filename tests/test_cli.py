@@ -217,6 +217,7 @@ def test_bad_option_values_exit_two(argv, named, capsys):
     assert err.count("error:") == 1
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_bench_stdout_deterministic(capsys):
     argv = ["bench", "--synthetic", "3", "--seed", "7", "--patch-size", "64"]
     assert main([*argv, "--threads", "1"]) == 0
@@ -258,5 +259,30 @@ def test_bench_corpus_directory(tmp_path, capsys):
 
 
 def test_bench_needs_a_corpus(capsys):
-    assert main(["bench"]) == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: slidecodec bench") and "--corpus --synthetic" in err
+
+
+def test_bench_takes_one_corpus(tmp_path, capsys):
+    # a directory beside --synthetic is refused, not silently ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--synthetic", "1", "--corpus", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compress", "in.ppm", "out.wsc", "--patch-size", "0"],
+    ["analyze", "in.ppm", "--lzw-max-width", "8"],
+    ["bench", "--synthetic", "1", "--patch-size", "0"],
+], ids=lambda argv: argv[0])
+def test_config_errors_show_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: slidecodec {argv[0]} ")
+    assert f"slidecodec {argv[0]}: error:" in err

@@ -101,6 +101,7 @@ def test_unproject_into_rows_that_overlap(native, monkeypatch):
             assert np.array_equal(got, want), (strides, run)
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_codec_tiles_are_never_copied(native, monkeypatch):
     # margins cropped off, of rows and of rows and columns (tiles are views
     # of the input), then an interior row too (tiles are views of the

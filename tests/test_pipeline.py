@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,7 @@ def test_crop_views_input_only_when_nothing_is_gathered():
         assert not np.shares_memory(crop_empty(cases[name]).cropped, cases[name])
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 @pytest.mark.parametrize("config", ALL_TOGGLES)
 def test_compress_of_view_equals_compress_of_copy(config):
     rng = np.random.default_rng(64)
@@ -277,6 +279,7 @@ def test_stage_mask_reflects_config():
         assert parsed.records[0].stage_mask == expect
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_threads_do_not_change_bytes():
     rng = np.random.default_rng(56)
     img = sparse_image(rng, 70, 50, 3)
@@ -287,6 +290,7 @@ def test_threads_do_not_change_bytes():
     assert (decompress(four, threads=4) == img).all()
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 @pytest.mark.parametrize("threads", [0, -5, 2.5, "2", True, None])
 def test_thread_count_must_be_a_positive_integer(threads):
     img = sparse_image(np.random.default_rng(58), 12, 10, 3)
@@ -298,6 +302,7 @@ def test_thread_count_must_be_a_positive_integer(threads):
     assert (decompress(blob, threads=np.int64(2)) == img).all()
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_projected_tiles_unproject_into_the_image(monkeypatch):
     # only tiles that a removed line splits, or that skip projection, are
     # decoded to an array of their own and copied into place
@@ -343,6 +348,7 @@ def test_patch_errors_carry_coordinates():
         decompress(blob)
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_first_failing_tile_raised_at_any_thread_count():
     # two broken tiles, the earlier at row 0, col 16: whichever a thread
     # meets first, the earlier one is raised, as on one thread, and no
@@ -407,6 +413,7 @@ def thread_log(monkeypatch):
     return log
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_thread_count_is_bounded_by_the_tiles(thread_log):
     rng = np.random.default_rng(60)
     img = rng.integers(1, 256, (16, 48, 3), dtype=np.uint8)  # three tiles
@@ -421,6 +428,7 @@ def test_thread_count_is_bounded_by_the_tiles(thread_log):
     assert thread_log["started"] == 4
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 @pytest.mark.parametrize("threads, shape", [(1, (16, 48, 3)), (4, (16, 16, 3))])
 def test_one_thread_or_one_tile_runs_on_the_caller(thread_log, threads, shape):
     img = np.random.default_rng(61).integers(1, 256, shape, dtype=np.uint8)
@@ -430,6 +438,7 @@ def test_one_thread_or_one_tile_runs_on_the_caller(thread_log, threads, shape):
     assert thread_log["started"] == 0
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_a_refused_helper_start_runs_on_the_threads_started(monkeypatch):
     # the second Thread.start of each call raises, as when the system has no
     # thread to give: the call finishes on the caller and the one helper it
@@ -453,6 +462,42 @@ def test_a_refused_helper_start_runs_on_the_threads_started(monkeypatch):
     starts.clear()
     assert np.array_equal(decompress(blob, threads=3), image)
     assert threading.active_count() == before and len(starts) == 2
+
+
+def _tile_shape(nbytes):
+    """``(h, w)`` with ``h * w == nbytes`` and ``h <= w``, as square as it gets."""
+    h = max(d for d in range(1, math.isqrt(nbytes) + 1) if nbytes % d == 0)
+    return h, nbytes // h
+
+
+@pytest.mark.parametrize("direction, min_tile", [
+    ("compress", "ENCODE_THREADS_MIN_TILE"), ("decompress", "DECODE_THREADS_MIN_TILE")])
+@pytest.mark.parametrize("under", [1, 0])
+def test_helpers_start_from_the_tile_size_where_they_pay(thread_log, direction, min_tile, under):
+    # three tiles of one channel, each one byte under the real constant or
+    # exactly at it: under it the caller runs them alone, at it two helpers
+    # join; the bytes are the 1-thread bytes either way
+    h, w = _tile_shape(getattr(pipeline, min_tile) - under)
+    img = np.random.default_rng(63).integers(1, 256, (h, 3 * w, 1), dtype=np.uint8)
+    config = CompressionConfig(patch_size=w)
+    blob = compress(img, config, threads=1)
+    thread_log["started"] = 0
+    if direction == "compress":
+        assert compress(img, config, threads=8) == blob
+    else:
+        assert np.array_equal(decompress(blob, threads=8), img)
+    assert thread_log["started"] == (0 if under else min(8, 3) - 1)
+
+
+def test_many_small_tiles_start_no_helper(thread_log):
+    # a 786 KB image in 1,024 tiles of 768 bytes: the rule reads the tile,
+    # not the image
+    img = np.random.default_rng(64).integers(1, 256, (512, 512, 3), dtype=np.uint8)
+    config = CompressionConfig(patch_size=16)
+    blob = compress(img, config, threads=1)
+    assert compress(img, config, threads=8) == blob
+    assert np.array_equal(decompress(blob, threads=8), img)
+    assert thread_log["started"] == 0
 
 
 def test_import_does_not_load_an_executor():
@@ -613,6 +658,7 @@ def decompress_via_uncrop(blob):
                              hdr.original_height, hdr.original_width))
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("patch", [1, 3, 8, 64])
 def test_tiles_land_in_place_around_removed_lines(c, patch):
@@ -645,6 +691,7 @@ def test_placement_cases_remove_what_they_name():
     assert crop_empty(cases["1x1 live"]).cropped.shape[:2] == (1, 1)
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_tile_cut_by_a_removed_row_and_a_removed_column():
     # a 5x6 image at patch 4 with row 2 and column 3 removed: the cropped
     # image is 4x5, its first tile covers original rows 0, 1, 3, 4 and
@@ -666,6 +713,7 @@ def test_tile_cut_by_a_removed_row_and_a_removed_column():
                                                   payloads)) == img).all()
 
 
+@pytest.mark.usefixtures("threads_on_small_tiles")
 def test_placement_under_thread_contention():
     # more workers than cores and a short switch interval, so workers are
     # interrupted inside their writes to the shared image; split tiles and
