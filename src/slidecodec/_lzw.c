@@ -26,8 +26,9 @@
    step out of a literal that starts every phrase, live in a dense 256x256
    pair table, one load each, whose entries carry an epoch so that a CLEAR
    need not zero it. Every other phrase goes through an open-addressing hash
-   table. Only the dictionary's structure differs from _lzw_py.py, not its
-   contents, so the codes are the same.
+   table, which grows at most once per dictionary, straight to the size that
+   the codes and input bytes left can fill. Only the dictionary's structure
+   differs from _lzw_py.py, not its contents, so the codes are the same.
 
    Both bit loops move a 64-bit word per code, not a byte: the encoder ORs
    each code into its accumulator and stores all 8 of its bytes, the
@@ -107,10 +108,12 @@ static inline int put(writer *w, int width, int32_t code)
     return 0;
 }
 
-/* Open-addressing dictionary from (prefix_code << 8 | byte) to code. It
-   doubles while kept at most half full, so its size follows the dictionary
+/* Open-addressing dictionary from (prefix_code << 8 | byte) to code, kept
+   at most half full. It starts at the size table_start_bits gives, and an
+   insert that would pass half load grows it once, to what the dictionary
+   can still add (see lzw_encode), so its size follows the dictionary
    actually built, which the input length and 2**max_width bound, rather
-   than the code space. It starts at the size table_start_bits gives. */
+   than the code space. */
 typedef struct {
     uint32_t *keys; /* key + 1; 0 marks an empty slot */
     int32_t *vals;
@@ -128,12 +131,13 @@ static int table_init(table *t, int bits)
 }
 
 /* Bits of the starting table for n input bytes: the smallest 2**bits of at
-   least n/2 slots, from 2**8 to 2**14. Each doubling rescans the whole table,
-   so a start at the size a stream ends at skips them all: a 64x64x3 tile's
+   least n/2 slots, from 2**8 to 2**14. Each growth rescans the whole table,
+   so a start at the size a stream ends at skips it: a 64x64x3 tile's
    12,288 bytes never rehash, and bit-plane streams of about 150 KB start at
    the 2**14 slots they end at. The cap keeps a long stream, which fills the
    table far below n/2 entries (one per phrase, not per byte), from starting
-   at a table larger than it needs; raw streams still grow past it. */
+   at a table larger than it needs; raw streams still grow past it, once per
+   dictionary at most. */
 static int table_start_bits(size_t n)
 {
     int bits = 8;
@@ -152,11 +156,12 @@ static size_t table_find(const table *t, uint32_t key)
     return h;
 }
 
-/* Double the table and reinsert its entries; -1 when memory runs out. */
-static int table_grow(table *t)
+/* Move the table's entries into a new one of 2**bits slots, bits > t->bits,
+   with one pass over the old slots; -1 when memory runs out. */
+static int table_grow(table *t, int bits)
 {
     table g;
-    if (table_init(&g, t->bits + 1)) {
+    if (table_init(&g, bits)) {
         free(g.keys);
         free(g.vals);
         return -1;
@@ -327,7 +332,20 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_r
                 pair[prev << 8 | b] = epoch << CODE_BITS | (uint32_t)next_code;
             } else if (next_code < capacity) {
                 if (2 * (t.used + 1) > (size_t)1 << t.bits) {
-                    if (table_grow(&t))
+                    /* grow once, to hold at half load every entry that
+                       this dictionary can still get: this one, then one per
+                       code left or per phrase left, whichever is fewer. An
+                       entry is made at the byte after its phrase, so those
+                       phrases lie in src[i:n-1]; each is a byte or more, or
+                       two with a pair table, as hash entries then never
+                       extend a literal */
+                    const size_t codes = (size_t)(capacity - next_code - 1);
+                    const size_t bytes = (n - i - 1) / (pair ? 2 : 1);
+                    const size_t entries = t.used + 1 + (codes < bytes ? codes : bytes);
+                    int bits = t.bits + 1;
+                    while (((size_t)1 << bits) < 2 * entries)
+                        bits++;
+                    if (table_grow(&t, bits))
                         goto done;
                     h = table_find(&t, key);
                 }

@@ -4,7 +4,8 @@ Samples pass through untouched in both directions; only 8-bit depth
 (maxval 255) is accepted. One table gives each headed format its magic bytes,
 for sniffing, reading and writing alike, and one gives PGM and PPM their
 channel counts. Header tokens are whitespace-separated, and a ``#`` outside a
-token starts a comment that runs to the end of its line. Raw mode is
+token starts a comment that runs to the end of its line; header integers are
+ASCII decimal digits, with no sign. Raw mode is
 headerless interleaved bytes and needs explicit dimensions: a width and
 height of at least 1, as a header must state, and 1, 3 or 4 channels.
 """
@@ -53,13 +54,17 @@ def _next_token(data, pos):
     return match[1], match.end()
 
 
+def _decimal(token, what):
+    """The value of a header integer: ASCII decimal digits only, as Netpbm
+    reads them, so no sign and no ``_`` (which ``int`` would take)."""
+    if not token.isdigit():
+        raise MalformedHeaderError(f"{what} is not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _int_token(data, pos, what):
     token, pos = _next_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedHeaderError(f"{what} is not an integer: {token!r}") from None
-    return value, pos
+    return _decimal(token, what), pos
 
 
 def _pixels(data, pos, height, width, channels, what):
@@ -100,14 +105,10 @@ def _read_pam(data):
         key = parts[0].upper()
         fields[key] = parts[1] if len(parts) > 1 else b""
     try:
-        width = int(fields[b"WIDTH"])
-        height = int(fields[b"HEIGHT"])
-        depth = int(fields[b"DEPTH"])
-        maxval = int(fields[b"MAXVAL"])
+        width, height, depth, maxval = (_decimal(fields[key], f"PAM {key.decode()}")
+                                        for key in (b"WIDTH", b"HEIGHT", b"DEPTH", b"MAXVAL"))
     except KeyError as missing:
         raise MalformedHeaderError(f"PAM header missing {missing}") from None
-    except ValueError:
-        raise MalformedHeaderError("PAM header field is not an integer") from None
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad dimensions {width}x{height}")
     if maxval != 255:

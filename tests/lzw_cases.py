@@ -150,6 +150,76 @@ def writer_cases():
     return cases
 
 
+def no_repeats(rng, n):
+    """n random bytes, none equal to the one before it: no run entries, so
+    every entry of a stream shorter than 2**16 bytes goes in the hash table."""
+    return (np.cumsum(rng.integers(1, 256, n)) % 256).astype(np.uint8).tobytes()
+
+
+def every_byte_pair():
+    """A de Bruijn sequence of order 2 over the 256 byte values, each byte pair
+    once: the Lyndon words a and a b, a < b, in lexicographic order."""
+    return bytes(x for a in range(256) for x in [a, *(v for b in range(a + 1, 256) for v in (a, b))])
+
+
+def hash_entries(data, width):
+    """Per dictionary, ``(offset, next_code)`` of each entry that the native
+    encoder puts in its hash table, in the order made.
+
+    The entry a code defines is made at the byte after its phrase, and goes
+    on a run ladder when it extends a pure run by its byte, in the pair
+    table when it extends a literal and the stream has at least 2**16
+    bytes, and in the hash table otherwise (see ``_lzw.c``).
+    """
+    from slidecodec import _lzw_py
+
+    codes = _read_codes(_lzw_py.encode(data, width), width)[0]
+    dictionaries, prev, next_code = [[]], None, FIRST_CODE
+    for code, at, n in phrases(codes):
+        if code == CLEAR:
+            dictionaries.append([])
+            prev, next_code = None, FIRST_CODE
+            continue
+        if prev is not None and next_code < 1 << width:
+            p_at, p_n = prev
+            run = data[p_at:p_at + p_n] == data[at:at + 1] * p_n
+            if not run and not (p_n == 1 and len(data) >= 1 << 16):
+                dictionaries[-1].append((at, next_code))
+            next_code += 1
+        prev = at, n
+    return dictionaries
+
+
+def growth_cases():
+    """Three lists of ``(data, width)`` pairs at the edges of the encoder's
+    hash table growth.
+
+    The table starts at 2**8 slots for up to 513 bytes, 2**12 for 4,098 to
+    8,193 and 2**14 from 16,386. An insert that would take it past half
+    load grows it once, to hold this entry, one per code left and one per
+    phrase that fits in the bytes left (:func:`hash_entries`):
+
+    * random bytes with no byte next to an equal one, cut so that the byte
+      where the 129th entry is made is one of the last 16, at widths 9, 12
+      and 16: the first growth comes there, and the bytes left set its size;
+    * such bytes, 513 at width 9 and 8,193 at width 12, which fill the
+      table at half load while fewer codes than bytes are left: the codes
+      left set the size, and the dictionary fills it to CLEAR;
+    * every byte pair once, then random bytes, then random bytes of 64
+      values, at width 16: the first dictionary, most of it pair entries,
+      grows the table to 2**16 slots, and the next, most of it hash
+      entries, fills that past half load and grows it again.
+    """
+    rng = np.random.default_rng(45)
+    short = no_repeats(rng, 513)
+    at = hash_entries(short, 16)[0][128][0]
+    bytes_left = [(short[:at + 1 + left], w) for left in range(16) for w in (9, 12, 16)]
+    codes_left = [(short, 9), (no_repeats(rng, 8193), 12)]
+    refill = (every_byte_pair()[:40_000] + rng.integers(0, 256, 30_000, dtype=np.uint8).tobytes()
+              + rng.integers(0, 64, 130_000, dtype=np.uint8).tobytes())
+    return bytes_left, codes_left, [(refill, 16)]
+
+
 def runs(pairs):
     """The bytes of ``(byte, length)`` runs, one after another."""
     return b"".join(bytes([b]) * k for b, k in pairs)

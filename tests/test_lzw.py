@@ -17,6 +17,7 @@ from slidecodec.lzw import (
     BACKEND,
     CLEAR,
     END,
+    FIRST_CODE,
     CodeTrace,
     lzw_decode,
     lzw_encode,
@@ -31,6 +32,8 @@ from lzw_cases import (
     damaged_cases,
     edge_cases,
     encoder_start_capacity,
+    growth_cases,
+    hash_entries,
     outcome,
     pure_results,
     reset_cases,
@@ -265,9 +268,10 @@ def test_unreachable_size_rejected_before_decoding():
 def identity():
     """The identity cases with the pure kernels' results, computed once per
     session: two ``(cases, streams, pure_results(...))`` groups, the short,
-    writer, damaged, edge and tail cases, then the reset and run cases."""
+    writer, growth, damaged, edge and tail cases, then the reset and run cases."""
     rng = np.random.default_rng(36)
-    groups = [(short_cases(rng) + writer_cases(), damaged_cases(rng) + edge_cases() + tail_cases()),
+    groups = [(short_cases(rng) + writer_cases() + sum(growth_cases(), []),
+               damaged_cases(rng) + edge_cases() + tail_cases()),
               (reset_cases() + run_cases(), [])]
     return [(cases, streams, pure_results(_lzw_py, cases, streams)) for cases, streams in groups]
 
@@ -321,6 +325,27 @@ def test_tail_and_writer_cases_reach_their_edges():
             near_start.append(packed - encoder_start_capacity(len(data)))
     assert residues == {w: set(range(8)) for w in range(9, 21)}
     assert near_start == list(range(-10, 3))
+
+
+def test_growth_cases_reach_their_edges():
+    # where the entry that takes the table past half load is made, and how
+    # many codes and bytes are left then; the slots start at 2**8, 2**12
+    # and 2**14 (see growth_cases)
+    bytes_left, codes_left, refill = growth_cases()
+    for data, w in bytes_left:
+        at, next_code = hash_entries(data, w)[0][1 << 7]
+        assert len(data) - 16 <= at and len(data) - at - 1 < (1 << w) - next_code - 1
+    for (data, w), slots in zip(codes_left, (1 << 8, 1 << 12), strict=True):
+        dictionaries = hash_entries(data, w)
+        at, next_code = dictionaries[0][slots // 2]
+        assert (1 << w) - next_code - 1 < len(data) - at - 1
+        assert len(dictionaries) > 1 and len(dictionaries[0]) == (1 << w) - FIRST_CODE
+    [(data, w)] = refill
+    first, second = hash_entries(data, w)
+    at, next_code = first[1 << 13]
+    # the codes left hold the first growth to 2**16 slots, which the second
+    # dictionary's entries fill past half load
+    assert 2 * ((1 << 13) + 1 + (1 << w) - next_code - 1) <= 1 << 16 < 2 * len(second)
 
 
 @pytest.mark.parametrize("bad", [16.0, True, "16", None])
@@ -397,7 +422,7 @@ def test_backends_byte_identical_around_the_table_start_size():
     codes = {(len(data), w): _read_codes(_lzw_native.encode(data, w), w)[0] for data, w in cases}
     assert {w for (n, w), c in codes.items() if CLEAR in c} == {9, 12}
     # over 2**14 codes, each an entry, against the 2**13 entries that the
-    # 2**14 starting slots hold at half load: the table doubles
+    # 2**14 starting slots hold at half load: the table grows
     assert all(len(c) > 1 << 14 for (n, w), c in codes.items() if n > 300 and w > 12)
 
 

@@ -123,6 +123,12 @@ def test_malformed_header_rejected():
         read_image(b"P5\nnot a number\n255\n")
     with pytest.raises(MalformedHeaderError):
         read_image(b"P5\n0 3\n255\n")
+    # header integers are ASCII decimal digits only: int() would also take
+    # "_" between digits, a sign and non-ASCII digits
+    for header in (b"P5\n1_0 +2\n25_5\n", b"P5\n10 +2\n255\n", b"P5\n10 2\n25_5\n",
+                   b"P5\n-1 2\n255\n", b"P6\n\xd9\xa1 1\n255\n"):
+        with pytest.raises(MalformedHeaderError, match="not a decimal integer"):
+            read_image(header + bytes(60))
 
 
 def test_truncated_pixels_rejected():
@@ -143,6 +149,21 @@ def test_pam_header_round_trip():
 def test_pam_missing_field_rejected():
     with pytest.raises(MalformedHeaderError):
         read_image(b"P7\nWIDTH 1\nHEIGHT 1\nMAXVAL 255\nENDHDR\n\x00")
+
+
+def _pam(**fields):
+    """A 10x2 grayscale PAM with ``fields`` in place of its own header values."""
+    fields = {"WIDTH": b"10", "HEIGHT": b"2", "DEPTH": b"1", "MAXVAL": b"255"} | fields
+    return (b"P7\n" + b"".join(b"%s %s\n" % (k.encode(), v) for k, v in fields.items())
+            + b"ENDHDR\n" + bytes(20))
+
+
+@pytest.mark.parametrize("key,value", [("WIDTH", b"1_0"), ("HEIGHT", b"+2"), ("DEPTH", b"0x1"),
+                                       ("MAXVAL", b"2_55"), ("WIDTH", b"-1"), ("HEIGHT", b"2.0")])
+def test_pam_integer_fields_are_decimal_digits(key, value):
+    assert read_image(_pam()).shape == (2, 10, 1)
+    with pytest.raises(MalformedHeaderError, match=f"PAM {key} is not a decimal integer"):
+        read_image(_pam(**{key: value}))
 
 
 def test_pam_unsupported_depth_rejected():
