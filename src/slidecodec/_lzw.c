@@ -10,12 +10,13 @@
    for the length of each call. Each stage of a tile is one such call, so
    patch workers overlap on all of a tile's work, not only on LZW.
 
-   Only the encoder allocates its output: it grows its buffer with realloc,
-   and the caller copies the output out and releases it with lzw_free. The
-   decoder writes into the caller's buffer of the expected size and stops as
-   soon as the stream disagrees with it. The LZW entry points return one of
-   the LZW_* status codes and fill an lzw_result; the pixel stages write
-   into the caller's arrays, and only the projection ones can fail.
+   No kernel hands back memory it allocated: each writes into the caller's
+   buffer. The encoder's holds at least the bound that _lzw_native.encode
+   states for the input length and width, so it never checks for room; the
+   decoder's holds the expected size, and it stops as soon as the stream
+   disagrees with it. The LZW entry points return one of the LZW_* status
+   codes and fill an lzw_result; the pixel stages write into the caller's
+   arrays, and only the projection ones can fail.
 
    The encoder keeps its dictionary in three structures. Runs of one byte,
    the bulk of bit-plane streams, live on a run ladder per byte value: the
@@ -52,8 +53,6 @@ typedef struct {
     int32_t next_code; /* decode: the dictionary's next code when it was read */
 } lzw_result;
 
-void lzw_free(void *p) { free(p); }
-
 /* The 8 bytes at p as one big-endian word, and back. Written out byte by
    byte, which compilers turn into one load or store and a byte swap. */
 static inline uint64_t load_be64(const uint8_t *p)
@@ -77,35 +76,26 @@ static inline void store_be64(uint8_t *p, uint64_t v)
 
 typedef struct {
     uint8_t *buf;
-    size_t len, cap;
+    size_t len;
     uint64_t acc; /* the nbits < 8 bits not yet whole bytes, at the top */
     int nbits;
 } writer;
 
-/* Append one code MSB-first; -1 when the buffer cannot grow. The code is
-   ORed in below the pending bits, and the accumulator's 8 bytes are stored
-   at len whether or not they are all whole: len then moves past the whole
-   ones, and the next store rewrites the rest. A code adds at most 20 bits
-   to fewer than 8, so no loop or branch is needed, and len + 8 <= cap
-   leaves room for the store. Inline: on raw, miss-heavy input the encoder
+/* Append one code MSB-first. The code is ORed in below the pending bits,
+   and the accumulator's 8 bytes are stored at len whether or not they are
+   all whole: len then moves past the whole ones, and the next store
+   rewrites the rest. A code adds at most 20 bits to fewer than 8, so no
+   loop or branch is needed; the bound on the caller's buffer counts the
+   8 bytes of the last store. Inline: on raw, miss-heavy input the encoder
    calls it about once per two bytes. */
-static inline int put(writer *w, int width, int32_t code)
+static inline void put(writer *w, int width, int32_t code)
 {
-    if (w->len + 8 > w->cap) {
-        size_t cap = 2 * w->cap;
-        uint8_t *grown = realloc(w->buf, cap);
-        if (!grown)
-            return -1;
-        w->buf = grown;
-        w->cap = cap;
-    }
     w->nbits += width;
     w->acc |= (uint64_t)code << (64 - w->nbits);
     store_be64(w->buf + w->len, w->acc);
     w->len += (size_t)(w->nbits >> 3);
     w->acc <<= w->nbits & ~7;
     w->nbits &= 7;
-    return 0;
 }
 
 /* Open-addressing dictionary from (prefix_code << 8 | byte) to code, kept
@@ -236,8 +226,11 @@ static size_t run_length(const uint8_t *p, size_t n, uint8_t b)
    faster literal steps save there. */
 enum { CODE_BITS = 20, CODE_MASK = (1 << CODE_BITS) - 1, PAIR_MIN_LEN = 1 << 16 };
 
-/* Encode src[0:n]. On LZW_OK *out holds res->len bytes. The codes are not
-   returned: slidecodec/lzw.py reads them back from the packed bytes.
+/* Encode src[0:n] into out, which holds at least the bound that
+   slidecodec/_lzw_native.py's encode states for n and max_width. On LZW_OK
+   out's first res->len bytes are the packed stream; the bytes past them
+   are undefined. The codes are not returned: slidecodec/lzw.py reads them
+   back from the packed bytes.
 
    The dictionary lives in three structures that together hold each entry
    once. A pure run b^(k+1), which extends the phrase b^k by another b,
@@ -264,21 +257,19 @@ enum { CODE_BITS = 20, CODE_MASK = (1 << CODE_BITS) - 1, PAIR_MIN_LEN = 1 << 16 
    the ones the byte-at-a-time greedy parse of _lzw_py.py emits. A CLEAR
    empties the hash table and the pair table and sets every ladder's top
    back to 1. */
-int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_result *res)
+int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t *out, lzw_result *res)
 {
     const int32_t capacity = (int32_t)1 << max_width;
     table t;
     uint32_t *pair = n >= PAIR_MIN_LEN ? calloc(256 * 256, sizeof *pair) : NULL;
     uint32_t epoch = 1;
     ladder runs[256] = {{0}};
-    writer w = {0};
-    w.cap = n + n / 8 + 64;
-    w.buf = malloc(w.cap);
+    writer w = {.buf = out};
     for (int b = 0; b < 256; b++)
         runs[b].top = 1;
 
     int status = LZW_NOMEM;
-    if (table_init(&t, table_start_bits(n)) || (n >= PAIR_MIN_LEN && !pair) || !w.buf)
+    if (table_init(&t, table_start_bits(n)) || (n >= PAIR_MIN_LEN && !pair))
         goto done;
 
     int width = MIN_WIDTH;
@@ -320,14 +311,12 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_r
                 continue;
             }
             i += l->top - 1; /* the pending phrase is b^top; src[i] is b */
-            if (put(&w, width, l->top > 1 ? l->codes[l->top] : b))
-                goto done;
+            put(&w, width, l->top > 1 ? l->codes[l->top] : b);
             if (next_code < capacity && ladder_push(l, next_code))
                 goto done;
         } else {
         miss:
-            if (put(&w, width, prev))
-                goto done;
+            put(&w, width, prev);
             if (next_code < capacity && prev < 256 && pair) {
                 pair[prev << 8 | b] = epoch << CODE_BITS | (uint32_t)next_code;
             } else if (next_code < capacity) {
@@ -359,8 +348,7 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_r
             if (next_code - 1 >= (1 << width))
                 width++;
         } else {
-            if (put(&w, width, CLEAR))
-                goto done;
+            put(&w, width, CLEAR);
             memset(t.keys, 0, ((size_t)1 << t.bits) * sizeof *t.keys);
             t.used = 0;
             if (pair && ++epoch >> (32 - CODE_BITS)) {
@@ -377,8 +365,7 @@ int lzw_encode(const uint8_t *src, size_t n, int max_width, uint8_t **out, lzw_r
     }
 flush:
     if (prev >= 0) {
-        if (put(&w, width, prev))
-            goto done;
+        put(&w, width, prev);
         /* mirror the decoder's entry for the final data code; without it END
            is written one bit narrower than the decoder reads it */
         if (FIRST_CODE < next_code && next_code < capacity) {
@@ -387,8 +374,7 @@ flush:
                 width++;
         }
     }
-    if (put(&w, width, END))
-        goto done;
+    put(&w, width, END);
     if (w.nbits) /* END's last store already wrote the partial byte */
         w.len++;
     res->len = w.len;
@@ -400,12 +386,6 @@ done:
     free(pair);
     for (int b = 0; b < 256; b++)
         free(runs[b].codes);
-    if (status == LZW_OK) {
-        *out = w.buf;
-    } else {
-        free(w.buf);
-        *out = NULL;
-    }
     return status;
 }
 

@@ -2,9 +2,10 @@
 
 The same six functions as ``slidecodec._lzw_py``, with the same signatures,
 and byte-identical to it. ctypes releases the interpreter lock for the length
-of each call, so patch workers overlap. ``decode`` and ``to_bitplanes``
-return a memoryview of the numpy array the kernel wrote into; only the
-encoder allocates its output in C.
+of each call, so patch workers overlap. No kernel allocates its output:
+each writes into a numpy array allocated here, which ``decode`` and
+``to_bitplanes`` return as a memoryview and ``encode`` copies its packed
+bytes out of.
 
 Importing this module loads the compiled library from a per-user cache
 (``$XDG_CACHE_HOME/slidecodec``, by default ``~/.cache/slidecodec``) under a
@@ -100,16 +101,13 @@ def _load() -> ctypes.CDLL:
         _remove_stale(path)
     lib = ctypes.CDLL(str(path))
 
-    u8p = ctypes.POINTER(ctypes.c_uint8)
     result_p = ctypes.POINTER(_Result)
     lib.lzw_encode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
-                               ctypes.POINTER(u8p), result_p]
+                               ctypes.c_void_p, result_p]
     lib.lzw_encode.restype = ctypes.c_int
     lib.lzw_decode.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                                ctypes.c_size_t, ctypes.c_void_p, result_p]
     lib.lzw_decode.restype = ctypes.c_int
-    lib.lzw_free.argtypes = [u8p]
-    lib.lzw_free.restype = None
     size, stride, ptr = ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p
     shape = [size, size, size]
     for fn, argtypes, restype in (
@@ -164,16 +162,29 @@ def _address(data):
     return np.frombuffer(data, dtype=np.uint8).ctypes.data
 
 
+def _encode_bound(n: int, max_width: int) -> int:
+    """Bytes the encoder may write for n input bytes at ``max_width``.
+
+    Each data code covers at least one input byte, so there are at most n;
+    a CLEAR follows at most every 2**max_width - 257 data codes (the
+    dictionary's 2**max_width - 258 entries, then the code that finds it
+    full); one END ends the stream. Each code is at most max_width bits.
+    The writer stores 8 bytes at its write position for every code, and
+    that position never passes the packed length, so 8 bytes more hold the
+    last store. All-literal streams at width 9 end exactly those 8 bytes
+    short of the bound; at wider widths, whose codes start at 9 bits, the
+    bound is looser.
+    """
+    codes = n + n // ((1 << max_width) - 257) + 1
+    return (max_width * codes + 7) // 8 + 8
+
+
 def encode(data, max_width: int) -> bytes:
-    out = ctypes.POINTER(ctypes.c_uint8)()
+    out = memoryview(np.empty(_encode_bound(len(data), max_width), dtype=np.uint8))
     res = _Result()
-    status = _lib.lzw_encode(_address(data), len(data), max_width,
-                             ctypes.byref(out), ctypes.byref(res))
-    try:
-        _check(status)
-        return ctypes.string_at(out, res.len)
-    finally:
-        _lib.lzw_free(out)
+    _check(_lib.lzw_encode(_address(data), len(data), max_width,
+                           _address(out), ctypes.byref(res)))
+    return out[:res.len].tobytes()
 
 
 def decode(data, max_width: int, size: int) -> memoryview:

@@ -59,11 +59,18 @@ def _load_raster(args):
 
 
 def _atomic_write(path, data: bytes):
-    """Write via a temp file + rename so failures leave no partial output."""
+    """Write via a temp file + rename so failures leave no partial output.
+
+    The file gets the mode ``open`` would give a new one, 0o666 less the
+    umask, not the 0o600 of ``mkstemp``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=Path(path).name)
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

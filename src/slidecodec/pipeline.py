@@ -271,6 +271,12 @@ def _in_patch(record, exc):
     return type(exc)(f"patch at row {record.row}, col {record.col}: {exc}")
 
 
+def _no_memory(shape, what):
+    """The error for an array of ``shape`` that could not be allocated: a
+    container can claim far more pixels than its payload bytes hold."""
+    return StructuralError(f"no memory for a {'x'.join(map(str, shape))} {what}")
+
+
 def _decode_tile(record, payload, channels, max_width, dest=None):
     """The tile's pixels; written to ``dest`` and returned as it when given
     and the tile is projected (``unproject`` writes in place), otherwise a
@@ -288,6 +294,9 @@ def _decode_tile(record, payload, channels, max_width, dest=None):
         return arr
     except CodecError as exc:
         raise _in_patch(record, exc) from exc
+    except MemoryError as exc:  # from numpy or a kernel's scratch
+        shape = (record.height, record.width, channels)
+        raise _in_patch(record, _no_memory(shape, "tile")) from exc
 
 
 # Smallest full tile, in raw bytes, at which tile threads beat one thread.
@@ -413,7 +422,7 @@ def decompress(data, threads=1) -> np.ndarray:
     try:
         out = np.zeros(shape, dtype=np.uint8)
     except MemoryError as exc:
-        raise StructuralError(f"no memory for a {'x'.join(map(str, shape))} image") from exc
+        raise _no_memory(shape, "image") from exc
     kept_rows = _kept_lines(cont.removed_rows, hdr.original_height)
     kept_cols = _kept_lines(cont.removed_cols, hdr.original_width)
 

@@ -1,4 +1,10 @@
-"""Wall-clock deadline for tests that must finish quickly on hostile input."""
+"""Wall-clock deadline for tests that must finish quickly on hostile input.
+
+The SIGALRM handler runs only between bytecodes, so the deadline cannot
+interrupt a C call: a native kernel that loops inside one ctypes call runs
+on past it (``tests/test_lzw.py``'s ``hang_guard`` bounds those with
+``faulthandler``). A call that returns late still raises once it returns.
+"""
 
 import signal
 from contextlib import contextmanager

@@ -124,30 +124,32 @@ def tail_cases():
     return cases
 
 
-def encoder_start_capacity(n):
-    """Bytes of the native encoder's first output buffer for n input bytes."""
-    return n + n // 8 + 64
-
-
 def writer_cases():
-    """``(data, width)`` pairs whose packed lengths end at every residue mod 8.
-
-    Random and constant inputs of 0 to 40 bytes at every width from 9 to 20.
-    They pack into far fewer bytes than the encoder's first buffer holds, so
-    last come prefixes of random bytes at width 9 whose packed lengths run
-    from 10 bytes below :func:`encoder_start_capacity` to 2 above it: the
-    encoder writes 8 bytes per code, and grows its buffer just before the
-    write would pass its end.
-    """
+    """``(data, width)`` pairs whose packed lengths end at every residue mod 8:
+    random and constant inputs of 0 to 40 bytes at every width from 9 to 20."""
     rng = np.random.default_rng(44)
-    cases = [(data, width)
-             for n in range(41)
-             for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(), bytes([0x5A]) * n)
-             for width in range(9, 21)]
-    near_start = np.random.default_rng(41).integers(0, 256, 1 << 15, dtype=np.uint8).tobytes()
-    cases += [(near_start[:n], 9) for n in (19411, 19666, 19921, 20176, 20183, 20431, 20686,
-                                            20941, 21196, 21963, 22218, 22729, 22984)]
-    return cases
+    return [(data, width)
+            for n in range(41)
+            for data in (rng.integers(0, 256, n, dtype=np.uint8).tobytes(), bytes([0x5A]) * n)
+            for width in range(9, 21)]
+
+
+def bound_cases():
+    """``(data, width)`` pairs of all-literal streams, which the native
+    encoder writes up to near the end of its output bound
+    (``_lzw_native._encode_bound``).
+
+    :func:`every_byte_pair` holds each byte pair once, so every data code is
+    a literal for one byte. At width 9 a CLEAR follows every 255 of them, so
+    its prefixes of 2,001 to 2,008 bytes have every code the bound counts,
+    each 9 bits wide: they pack into exactly the bound less the writer's
+    8-byte store allowance, END's store ends 2 bytes short of the bound, and
+    their packed lengths end at every residue mod 8. The whole sequence at
+    widths 12, 16 and 20 comes last; its codes start at 9 bits, so it ends
+    further from the bound.
+    """
+    pairs = every_byte_pair()
+    return [(pairs[:n], 9) for n in range(2001, 2009)] + [(pairs, w) for w in (12, 16, 20)]
 
 
 def no_repeats(rng, n):

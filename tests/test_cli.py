@@ -5,6 +5,8 @@ codes are exercised exactly as a shell user would hit them.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -82,6 +84,24 @@ def test_bad_container_exits_one(tmp_path, capsys):
     code = main(["decompress", str(bogus), str(tmp_path / "o.ppm")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_tile_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    from slidecodec import pipeline
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    image = smooth_gradient_patch(np.random.SeedSequence(5), 40, 56)
+    src = _write_raster(tmp_path / "in.ppm", image, "ppm")
+    cont = str(tmp_path / "out.wsc")
+    assert main(["compress", src, cont, "--patch-size", "16"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "lzw_decode", no_memory)
+    assert main(["decompress", cont, str(tmp_path / "o.ppm")]) == 1
+    assert capsys.readouterr().err == \
+        "error: patch at row 0, col 0: no memory for a 16x16x3 tile\n"
+    assert not (tmp_path / "o.ppm").exists()
 
 
 def test_stage_flags_reach_the_container(tmp_path):
@@ -175,6 +195,24 @@ def test_analyze_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(dest.read_text())
     assert report["patches"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_output_files_follow_the_umask(tmp_path, umask):
+    # every output gets the mode open() gives a new file, 0o666 less the umask
+    image = smooth_gradient_patch(np.random.SeedSequence(6), 16, 16)
+    src = _write_raster(tmp_path / "in.ppm", image, "ppm")
+    outputs = [tmp_path / name for name in ("out.wsc", "back.ppm", "report.json", "open.bin")]
+    previous = os.umask(umask)
+    try:
+        assert main(["compress", src, str(outputs[0]), "--patch-size", "16"]) == 0
+        assert main(["decompress", str(outputs[0]), str(outputs[1])]) == 0
+        assert main(["analyze", src, "--patch-size", "16", "-o", str(outputs[2])]) == 0
+        with open(outputs[3], "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in outputs} == {0o666 & ~umask}
 
 
 @pytest.mark.parametrize("command", ["compress", "decompress", "bench"])

@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import pickle
 import shutil
@@ -28,10 +29,10 @@ from slidecodec.lzw import (
 from deadline import deadline
 from lzw_cases import (
     assert_matches,
+    bound_cases,
     clear_offsets,
     damaged_cases,
     edge_cases,
-    encoder_start_capacity,
     growth_cases,
     hash_entries,
     outcome,
@@ -53,6 +54,33 @@ except ImportError as exc:
     _lzw_native, _native_error = None, exc
 
 _HAVE_CC = shutil.which((os.environ.get("CC") or "cc").split()[0]) is not None
+
+# Seconds after which an in-process identity test ends the whole run with
+# every thread's traceback: over 10 times the slowest one's time (1.5 s on a
+# 2-vCPU host), where a kernel that loops would otherwise hang the run.
+HANG_SECONDS = 60
+
+
+@pytest.fixture
+def hang_guard(capsys):
+    """Exit the test process, printing every thread's traceback, if the test
+    runs longer than ``HANG_SECONDS``.
+
+    ``deadline`` cannot do this: its signal handler runs only between
+    bytecodes, never inside a ctypes call. faulthandler's watchdog is a
+    thread of its own that writes the tracebacks to an unbuffered descriptor
+    and exits; it writes to the terminal's stderr, as the captured one is
+    lost on exit.
+    """
+    with capsys.disabled():
+        stderr = os.dup(2)
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(stderr)
+
+
+in_process_identity = pytest.mark.usefixtures("hang_guard")
 
 
 def test_golden_ababab():
@@ -268,9 +296,10 @@ def test_unreachable_size_rejected_before_decoding():
 def identity():
     """The identity cases with the pure kernels' results, computed once per
     session: two ``(cases, streams, pure_results(...))`` groups, the short,
-    writer, growth, damaged, edge and tail cases, then the reset and run cases."""
+    writer, bound, growth, damaged, edge and tail cases, then the reset and
+    run cases."""
     rng = np.random.default_rng(36)
-    groups = [(short_cases(rng) + writer_cases() + sum(growth_cases(), []),
+    groups = [(short_cases(rng) + writer_cases() + bound_cases() + sum(growth_cases(), []),
                damaged_cases(rng) + edge_cases() + tail_cases()),
               (reset_cases() + run_cases(), [])]
     return [(cases, streams, pure_results(_lzw_py, cases, streams)) for cases, streams in groups]
@@ -287,12 +316,14 @@ def identity_pickle(identity, tmp_path_factory):
 
 
 @pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
+@in_process_identity
 def test_backends_byte_identical(identity):
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     # damaged streams and wrong sizes fail alike: same class, same message
     assert_matches(_lzw_native, *identity[0])
 
 
+@in_process_identity
 def test_tail_and_writer_cases_reach_their_edges():
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     # the tail streams end on codes of their full width, in buffers of their
@@ -314,17 +345,23 @@ def test_tail_and_writer_cases_reach_their_edges():
                 _lzw_native.decode(stream, width, size)
         else:
             assert len(_lzw_native.decode(stream, width, size)) == size
-    # the writer's cases end at every residue mod 8 at every width, and the
-    # last ones on both sides of the encoder's first buffer size
-    residues, near_start = {}, []
+    # the writer's cases end at every residue mod 8 at every width
+    residues = {}
     for data, width in writer_cases():
-        packed = len(_lzw_native.encode(data, width))
-        if len(data) <= 40:
-            residues.setdefault(width, set()).add(packed % 8)
-        else:
-            near_start.append(packed - encoder_start_capacity(len(data)))
+        residues.setdefault(width, set()).add(len(_lzw_native.encode(data, width)) % 8)
     assert residues == {w: set(range(8)) for w in range(9, 21)}
-    assert near_start == list(range(-10, 3))
+    # the bound cases encode one code per byte; at width 9 they end exactly
+    # the writer's 8-byte store allowance short of the bound, at every
+    # residue mod 8, and at widths 12 to 20 further from it
+    gaps, residues = {}, set()
+    for data, width in bound_cases():
+        packed = _lzw_native.encode(data, width)
+        assert sum(c < 256 for c in _read_codes(packed, width)[0]) == len(data)
+        gaps.setdefault(width, set()).add(_lzw_native._encode_bound(len(data), width) - len(packed))
+        if width == 9:
+            residues.add(len(packed) % 8)
+    assert gaps == {9: {8}, 12: {6086}, 16: {8136}, 20: {40647}}
+    assert residues == set(range(8))
 
 
 def test_growth_cases_reach_their_edges():
@@ -365,6 +402,7 @@ def test_edge_cases_decode_to_their_size(kernel):
         assert len(kernel.decode(stream, width, size)) == size
 
 
+@in_process_identity
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_backends_agree_on_mutated_streams(draw):
@@ -390,6 +428,7 @@ def test_backends_agree_on_mutated_streams(draw):
         outcome(_lzw_py.decode, stream, width, size)
 
 
+@in_process_identity
 def test_backends_byte_identical_across_resets(identity):
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     cases, _, expected = identity[1]
@@ -406,6 +445,7 @@ def test_backends_byte_identical_across_resets(identity):
                               for at in clear_offsets(c))}
 
 
+@in_process_identity
 def test_backends_byte_identical_around_the_table_start_size():
     # the encoder's hash table starts at a size set by the input length: 300
     # bytes start at the smallest, 64 KB at the largest start, which random
@@ -426,6 +466,7 @@ def test_backends_byte_identical_around_the_table_start_size():
     assert all(len(c) > 1 << 14 for (n, w), c in codes.items() if n > 300 and w > 12)
 
 
+@in_process_identity
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0x00, 0x01, 0x55, 0xAA, 0xFF]),
                           st.integers(1, 3000)), max_size=40))

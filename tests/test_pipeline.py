@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -599,6 +600,34 @@ def test_failed_image_allocation_is_a_codec_error(monkeypatch):
     monkeypatch.setattr(pipeline.np, "zeros", no_memory)
     with pytest.raises(StructuralError, match="^no memory for a 4x5x3 image$"):
         decompress(blob)
+
+
+@pytest.mark.usefixtures("threads_on_small_tiles")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stage", ["lzw_decode", "from_bitplanes"])
+def test_failed_tile_allocation_is_a_codec_error(monkeypatch, stage, threads):
+    # a kernel's LZW_NOMEM or a failed numpy allocation, in any tile, raises
+    # a StructuralError naming the first failing tile, as the image does
+    image = np.random.default_rng(8).integers(0, 256, (40, 48, 3), dtype=np.uint8)
+    blob = compress(image, CompressionConfig(patch_size=16))
+    real = getattr(pipeline, stage)
+    calls = []
+
+    def no_memory_after_two(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise MemoryError()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, stage, no_memory_after_two)
+    with pytest.raises(StructuralError) as err:
+        decompress(blob, threads=threads)
+    assert isinstance(err.value.__cause__, MemoryError)
+    if threads == 1:  # the third tile; with 2 threads, any after the first
+        assert str(err.value) == "patch at row 0, col 32: no memory for a 16x16x3 tile"
+    else:
+        assert re.fullmatch(r"patch at row \d+, col \d+: no memory for a 16x16x3 tile",
+                            str(err.value))
 
 
 def with_gaps(dense, row_gaps, col_gaps):
