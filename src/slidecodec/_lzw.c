@@ -1,8 +1,7 @@
-/* Native kernels of the codec: LZW, byte-identical to slidecodec/_lzw_py.py,
-   and the four pixel stages, byte-identical to the numpy code in
-   slidecodec/transform.py (project, unproject) and slidecodec/bitplane.py
-   (to_bitplanes, from_bitplanes). The pixel stages are at the end of the
-   file.
+/* Native kernels of the codec: LZW and the four pixel stages (project,
+   unproject, to_bitplanes, from_bitplanes), byte-identical to the Python
+   and numpy kernels of slidecodec/_lzw_py.py. The pixel stages are at the
+   end of the file.
 
    The wire rules are stated in _lzw_py.py's docstring. This file uses no
    Python C-API: slidecodec/_lzw_native.py compiles it with the system C
@@ -531,9 +530,10 @@ done:
 }
 
 /* ---------------------------------------------------------------------
-   Pixel stages, byte-identical to the numpy code in slidecodec/transform.py
-   (project, unproject) and slidecodec/bitplane.py (to_bitplanes,
-   from_bitplanes), which states the arithmetic.
+   Pixel stages, byte-identical to the numpy kernels of the same names in
+   slidecodec/_lzw_py.py. slidecodec/transform.py (project, unproject) and
+   slidecodec/bitplane.py (to_bitplanes, from_bitplanes) state the
+   arithmetic.
 
    Every (h, w, c) uint8 array here has packed rows: each row's w*c bytes
    follow each other in pixel-major order. px_project reads its input's

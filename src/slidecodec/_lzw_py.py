@@ -105,10 +105,8 @@ def decode(data, max_width: int, size: int) -> memoryview:
     n = len(data)
 
     while True:
-        width = next_code.bit_length()
-        if width < MIN_WIDTH:
-            width = MIN_WIDTH
-        elif width > max_width:
+        width = next_code.bit_length()  # next_code >= FIRST_CODE: at least MIN_WIDTH
+        if width > max_width:
             width = max_width
         while nbits < width:
             if pos >= n:

@@ -32,9 +32,9 @@ bit as a continuation flag.
 """
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from ._lzw_py import DEFAULT_MAX_WIDTH, MAX_WIDTH, MIN_WIDTH
 from .errors import (
     BadMagicError,
     IndexInconsistencyError,
@@ -42,6 +42,7 @@ from .errors import (
     TruncatedStreamError,
     UnsupportedVersionError,
 )
+from .lzw import DEFAULT_MAX_WIDTH, MAX_WIDTH, MIN_WIDTH, check_int
 
 __all__ = [
     "MAGIC",
@@ -55,6 +56,7 @@ __all__ = [
     "write_container",
     "read_container",
     "tile_grid",
+    "check_crop",
 ]
 
 MAGIC = b"WISE"
@@ -65,7 +67,7 @@ STAGE_BITPLANE = 2
 STAGE_LZW = 4
 
 _RECORD = struct.Struct("<IIIIQQB")  # one patch record, in PatchRecord's field order
-_U32 = 1 << 32
+U32_END = 1 << 32  # one past the largest value of a u32 field
 
 _FLAG_ALPHA = 0x0001
 _WIDTH_SHIFT = 1
@@ -118,34 +120,41 @@ def tile_grid(height, width, patch_size):
             yield r, c, min(patch_size, height - r), min(patch_size, width - c)
 
 
-def _check_index_list(name, indices, bound):
-    prev = -1
-    for i in indices:
-        if not prev < i < bound:
-            raise StructuralError(
-                f"removed {name} indices must be strictly increasing and below {bound}"
-            )
-        prev = i
+def check_crop(height, width, removed_rows, removed_cols):
+    """Raise StructuralError unless the crop metadata of a ``height x width``
+    image is well formed: each dimension an integer in [1, 2**32), and each
+    list of removed lines a sequence of integers, strictly increasing and
+    below its dimension (integers as ``lzw.check_int`` rules)."""
+    try:
+        for dim, n, lines, removed in (("height", height, "rows", removed_rows),
+                                       ("width", width, "columns", removed_cols)):
+            check_int(f"original {dim}", n, 1, U32_END - 1)
+            if not isinstance(removed, Sequence):
+                raise ValueError(f"removed {lines} must be a sequence of indices")
+            prev = -1
+            for k, i in enumerate(removed):
+                if type(i) is not int or not prev < i < n:  # slow path: check_int names the fault
+                    i = check_int(f"removed {lines}[{k}]", i, 0, n - 1)
+                    if i <= prev:
+                        raise ValueError(f"removed {lines} must be strictly increasing, "
+                                         f"got {prev} then {i}")
+                prev = i
+    except ValueError as exc:
+        raise StructuralError(str(exc)) from None
 
 
 def _validate(header, removed_rows, removed_cols, records, payloads):
-    if not (0 < header.original_width < _U32 and 0 < header.original_height < _U32):
-        raise StructuralError(
-            f"original dimensions {header.original_width}x{header.original_height} "
-            f"must be positive and fit their u32 fields"
-        )
+    check_crop(header.original_height, header.original_width, removed_rows, removed_cols)
     if header.channels not in (1, 3, 4):  # so it fits its u8 field too
         raise StructuralError(f"unsupported channel count {header.channels}")
     if header.bit_depth != 8:
-        raise StructuralError("only 8-bit samples are supported")
-    if not 0 < header.patch_size < _U32:
+        raise StructuralError(f"bit depth {header.bit_depth} unsupported: only 8-bit samples")
+    if not 0 < header.patch_size < U32_END:
         raise StructuralError(f"patch size {header.patch_size} must be positive and fit its u32")
     if not MIN_WIDTH <= header.lzw_max_width <= MAX_WIDTH:
         raise StructuralError(
             f"LZW max width {header.lzw_max_width} outside [{MIN_WIDTH}, {MAX_WIDTH}]"
         )
-    _check_index_list("row", removed_rows, header.original_height)
-    _check_index_list("column", removed_cols, header.original_width)
     if len(records) != len(payloads):
         raise StructuralError(
             f"{len(records)} patch records but {len(payloads)} payloads"

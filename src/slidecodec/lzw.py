@@ -124,7 +124,7 @@ def _read_codes(packed: bytes, max_width: int) -> tuple:
     """(codes, peak next code) of an encoder's packed stream, read without a dictionary.
 
     A code's width depends only on ``count``, the data codes read since the
-    last CLEAR: it is bit_length(next_code) clamped to [MIN_WIDTH, max_width], with
+    last CLEAR: it is bit_length(next_code), at most max_width, with
     the decoder's next_code = min(FIRST_CODE + max(count - 1, 0),
     2**max_width). So the codes come in runs of one width, each read with
     numpy in one step up to its first CLEAR or END. A run ends where
@@ -138,7 +138,7 @@ def _read_codes(packed: bytes, max_width: int) -> tuple:
     parts, at, count, cleared = [], 0, 0, False
     while not parts or parts[-1][-1] != END:
         next_code = min(FIRST_CODE + max(count - 1, 0), capacity)
-        width = min(max(next_code.bit_length(), MIN_WIDTH), max_width)
+        width = min(next_code.bit_length(), max_width)
         n = min((1 << width) - FIRST_CODE + 1 + (width == max_width) - count,
                 (8 * len(packed) - at) // width)
         bit = at + width * np.arange(n)

@@ -38,7 +38,6 @@ around those calls, and each call's thread start-up.
 
 import threading
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,11 @@ from .container import (
     STAGE_BITPLANE,
     STAGE_LZW,
     STAGE_PROJECTION,
+    U32_END,
     Container,
     ContainerHeader,
     PatchRecord,
+    check_crop,
     read_container,
     tile_grid,
     write_container,
@@ -82,7 +83,7 @@ class CompressionConfig:
     lzw_max_width: int = DEFAULT_MAX_WIDTH
 
     def __post_init__(self):
-        check_int("patch_size", self.patch_size, 1, 2**32 - 1)  # a u32 in the container
+        check_int("patch_size", self.patch_size, 1, U32_END - 1)  # a u32 in the container
         check_int("lzw_max_width", self.lzw_max_width, MIN_WIDTH, MAX_WIDTH)
 
 
@@ -130,16 +131,13 @@ def crop_empty(image) -> CropResult:
     col_live = image.max(axis=0).max(axis=1) != 0
     kept_rows, kept_cols = np.flatnonzero(row_live), np.flatnonzero(col_live)
     ch, cw = len(kept_rows), len(kept_cols)
-    if not ch:  # no live pixel, so no live column either
-        cropped = np.empty((0, 0, c), dtype=np.uint8)
+    rows, runs = _blocks(kept_rows, kept_cols, 0, 0, ch, cw)
+    if isinstance(rows, slice) and len(runs) == 1:
+        cropped = image[rows, runs[0][1]]
     else:
-        rows, runs = _blocks(kept_rows, kept_cols, 0, 0, ch, cw)
-        if isinstance(rows, slice) and len(runs) == 1:
-            cropped = image[rows, runs[0][1]]
-        else:
-            cropped = np.empty((ch, cw, c), dtype=np.uint8)
-            for tile_cols, cols in runs:
-                cropped[:, tile_cols] = image[rows, cols]
+        cropped = np.empty((ch, cw, c), dtype=np.uint8)
+        for tile_cols, cols in runs:
+            cropped[:, tile_cols] = image[rows, cols]
     return CropResult(
         cropped=cropped,
         removed_rows=tuple(np.flatnonzero(~row_live).tolist()),
@@ -158,8 +156,10 @@ def _kept_lines(removed, n):
 
 def _line_runs(lines):
     """``(slice of lines, slice of the image)`` per run of consecutive values
-    in ``lines``, an increasing index array of image lines."""
+    in ``lines``, an increasing index array of image lines; none for no lines."""
     n = len(lines)
+    if not n:
+        return []
     if lines[-1] - lines[0] == n - 1:
         return [(slice(0, n), slice(lines[0], lines[-1] + 1))]
     # found on a list: numpy temporaries made here, between a decoded
@@ -190,38 +190,22 @@ def uncrop(result: CropResult) -> np.ndarray:
     :func:`decompress` does not call this: it writes each tile straight to
     its place in the full image through the same rule, :func:`_blocks`.
     """
-    cropped = result.cropped
+    cropped, removed_rows, removed_cols = result.cropped, result.removed_rows, result.removed_cols
     if not isinstance(cropped, np.ndarray) or cropped.dtype != np.uint8 or cropped.ndim != 3:
         raise StructuralError("cropped image must be a uint8 height x width x channels array")
-    try:
-        h = check_int("original height", result.original_height, 0)
-        w = check_int("original width", result.original_width, 0)
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from exc
-    if not all(isinstance(r, Sequence) for r in (result.removed_rows, result.removed_cols)):
-        raise StructuralError("removed rows and columns must be sequences of indices")
+    h, w = result.original_height, result.original_width
+    check_crop(h, w, removed_rows, removed_cols)
     ch, cw, nchan = cropped.shape
-    if ch + len(result.removed_rows) != h or cw + len(result.removed_cols) != w:
+    if ch + len(removed_rows) != h or cw + len(removed_cols) != w:
         raise StructuralError(
             f"crop metadata inconsistent: {ch}x{cw} cropped plus "
-            f"{len(result.removed_rows)}/{len(result.removed_cols)} removed "
-            f"does not give {h}x{w}"
+            f"{len(removed_rows)}/{len(removed_cols)} removed does not give {h}x{w}"
         )
-    for removed, n in ((result.removed_rows, h), (result.removed_cols, w)):
-        try:
-            for i in removed:
-                check_int("removed index", i, 0, n - 1)
-        except ValueError as exc:
-            raise StructuralError(f"removed indices must be integers in [0, {n})") from exc
-    kept_rows = _kept_lines(result.removed_rows, h)
-    kept_cols = _kept_lines(result.removed_cols, w)
-    if len(kept_rows) != ch or len(kept_cols) != cw:
-        raise StructuralError("removed indices duplicated")
     out = np.zeros((h, w, nchan), dtype=np.uint8)
-    if ch and cw:
-        rows, runs = _blocks(kept_rows, kept_cols, 0, 0, ch, cw)
-        for tile_cols, cols in runs:
-            out[rows, cols] = cropped[:, tile_cols]
+    rows, runs = _blocks(_kept_lines(removed_rows, h), _kept_lines(removed_cols, w),
+                         0, 0, ch, cw)
+    for tile_cols, cols in runs:
+        out[rows, cols] = cropped[:, tile_cols]
     return out
 
 

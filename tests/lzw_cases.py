@@ -152,6 +152,20 @@ def bound_cases():
     return [(pairs[:n], 9) for n in range(2001, 2009)] + [(pairs, w) for w in (12, 16, 20)]
 
 
+def end_width_cases():
+    """``(data, width)`` pairs whose END code is one bit wider than their
+    last data code: ``bytes(range(255))`` at widths 10, 12 and 16.
+
+    Its 254 byte pairs are all new, so its last literal is written with the
+    dictionary's next code at 512, 9 bits wide. The decoder defines an entry
+    for that literal too, taking the next code to 513, and so reads END at
+    10 bits: the encoder must write it at 10 (``_lzw_py.encode``'s step for
+    the final code's implied entry), 289 bytes in all. At width 9 the
+    dictionary is full first and END stays 9 bits wide.
+    """
+    return [(bytes(range(255)), width) for width in (10, 12, 16)]
+
+
 def no_repeats(rng, n):
     """n random bytes, none equal to the one before it: no run entries, so
     every entry of a stream shorter than 2**16 bytes goes in the hash table."""

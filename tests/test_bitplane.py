@@ -131,6 +131,17 @@ def test_wrong_stream_size_rejected():
         from_bitplanes(bytes(9), 1, 3, 1)
 
 
+@pytest.mark.parametrize("residuals", [np.zeros((2, 4, 1), np.int16), np.zeros((2, 4), np.uint8)])
+def test_to_bitplanes_rejects_what_is_not_an_hwc_uint8_array(residuals):
+    with pytest.raises(StructuralError, match=r"\(h, w, c\) uint8"):
+        to_bitplanes(residuals)
+
+
+def test_histogram_rejects_samples_that_are_not_uint8():
+    with pytest.raises(StructuralError, match="uint8 samples, got int16"):
+        effective_bit_histogram(np.zeros((2, 4, 1), np.int16))
+
+
 def test_histogram_all_zero():
     hist = effective_bit_histogram(np.zeros((3, 3, 1), dtype=np.uint8))
     assert hist["zero"] == 9

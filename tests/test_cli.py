@@ -11,7 +11,7 @@ import stat
 import numpy as np
 import pytest
 
-from slidecodec.cli import main
+from slidecodec.cli import _atomic_write, main
 from slidecodec.container import read_container
 from slidecodec.metrics import ENTROPY_STAGES
 from slidecodec.rasters import read_image, write_image
@@ -47,6 +47,26 @@ def test_compress_decompress_round_trip_pgm(tmp_path):
     assert main(["compress", src, cont, "--patch-size", "16"]) == 0
     assert main(["decompress", cont, back]) == 0
     assert np.array_equal(read_image(back), image)
+
+
+@pytest.mark.parametrize("channels, magic", [(1, b"P5"), (3, b"P6")])
+def test_decompress_picks_the_format_by_channel_count(tmp_path, channels, magic):
+    # an output suffix that names no format: PGM for 1 channel, PPM for 3
+    image = smooth_gradient_patch(np.random.SeedSequence(6), 12, 10, channels=channels)
+    src = _write_raster(tmp_path / "in.pam", image, "pam")
+    cont, back = str(tmp_path / "out.wsc"), tmp_path / "back.img"
+    assert main(["compress", src, cont, "--patch-size", "8"]) == 0
+    assert main(["decompress", cont, str(back)]) == 0
+    assert back.read_bytes()[:2] == magic
+    assert np.array_equal(read_image(back), image)
+
+
+def test_atomic_write_leaves_nothing_when_the_write_fails(tmp_path):
+    # a str is no bytes, so the write into the temporary file raises; the
+    # temporary file is removed and the error reaches the caller
+    with pytest.raises(TypeError):
+        _atomic_write(str(tmp_path / "out.wsc"), "not bytes")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_raw_input_requires_dimensions(tmp_path, capsys):
@@ -294,6 +314,12 @@ def test_bench_corpus_directory(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split(",")[1] for line in lines[1:]]
     assert names == ["img0.ppm", "img1.ppm", "aggregate"]
+
+
+def test_bench_of_an_empty_corpus_exits_one(tmp_path, capsys):
+    (tmp_path / "subdir").mkdir()  # directories are not rasters
+    assert main(["bench", "--corpus", str(tmp_path), "--threads", "1"]) == 1
+    assert capsys.readouterr().err == f"error: no rasters found in {tmp_path}\n"
 
 
 def test_bench_needs_a_corpus(capsys):

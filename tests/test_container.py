@@ -186,6 +186,38 @@ def test_reserved_flag_bits_rejected(bit):
         read_container(bytes(blob))
 
 
+def test_bit_depth_other_than_8_rejected():
+    # the bit depth is the header byte after the channel count, at offset 17
+    blob = bytearray(write_container(*small_container()))
+    assert blob[17] == 8
+    blob[17] = 16
+    with pytest.raises(StructuralError, match="^bit depth 16 unsupported"):
+        read_container(bytes(blob))
+
+
+@pytest.mark.parametrize("width", [1, 8, 21, 31])
+def test_width_flag_outside_the_lzw_widths_rejected(width):
+    # the flags' bits 1-5 hold any width from 1 to 31; 9 to 20 are valid
+    blob = bytearray(write_container(*small_container()))
+    struct.pack_into("<H", blob, 6, width << 1)
+    with pytest.raises(StructuralError, match=rf"^LZW max width {width} outside \[9, 20\]"):
+        read_container(bytes(blob))
+
+
+def test_record_and_payload_counts_must_agree():
+    header, rr, rc, recs, pays = small_container()
+    with pytest.raises(StructuralError, match="^1 patch records but 0 payloads"):
+        Container(header, rr, rc, recs, ())
+
+
+def test_varint_longer_than_63_bits_rejected():
+    # the removed-rows count: ten bytes with the continuation bit set
+    blob = (MAGIC + struct.pack("<HHIIBBI", 1, 0, 3, 2, 1, 8, 16)
+            + b"\x80" * 10 + b"\x00")
+    with pytest.raises(StructuralError, match="^varint too long in removed-rows block"):
+        read_container(blob)
+
+
 def test_tiling_mismatch_rejected():
     header = ContainerHeader(3, 2, 1, 16)
     rec = PatchRecord(0, 0, 1, 3, 3, 2, STAGE_LZW)  # misses the second row
@@ -251,6 +283,35 @@ def test_removed_index_out_of_range_rejected():
     header, _, rc, recs, pays = small_container(removed_rows=(1,))
     with pytest.raises(StructuralError):
         write_container(header, (5,), rc, recs, pays)
+
+
+# a float and a bool, which are no index (as one, 2.7 would truncate to row
+# 2 and True would read as row 1), and a value and a set, which are no
+# sequence of indices, as rows; then the same as columns
+@pytest.mark.parametrize("rows, cols, named", [
+    ((2.7,), (), r"removed rows\[0\] must be an integer"),
+    ((True,), (), r"removed rows\[0\] must be an integer"),
+    (None, (), "removed rows must be a sequence"), ({1}, (), "removed rows must be a sequence"),
+    ((), (1.0,), r"removed columns\[0\] must be an integer"),
+    ((), (False,), r"removed columns\[0\] must be an integer"),
+    ((), 1, "removed columns must be a sequence")])
+def test_removed_lines_must_be_sequences_of_integers(rows, cols, named):
+    header, _, _, recs, pays = small_container()
+    with pytest.raises(StructuralError, match=f"^{named}"):
+        Container(header, rows, cols, recs, pays)
+
+
+def test_numpy_integer_removed_lines_accepted():
+    img = np.arange(1, 13, dtype=np.uint8).reshape(3, 4, 1)
+    img[1] = 0
+    img[:, [0, 2]] = 0
+    parsed = read_container(compress(img, CompressionConfig(patch_size=2)))
+    assert (parsed.removed_rows, parsed.removed_cols) == ((1,), (0, 2))
+    rows, cols = (np.int64(1),), (np.uint8(0), np.int32(2))
+    cont = Container(parsed.header, rows, cols, parsed.records, parsed.payloads)
+    assert (decompress(cont) == img).all()
+    assert write_container(parsed.header, rows, cols, parsed.records,
+                           parsed.payloads) == compress(img, CompressionConfig(patch_size=2))
 
 
 def test_corrupted_index_fails_reparse():

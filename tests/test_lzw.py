@@ -1,3 +1,4 @@
+import ctypes
 import faulthandler
 import os
 import pickle
@@ -33,6 +34,7 @@ from lzw_cases import (
     clear_offsets,
     damaged_cases,
     edge_cases,
+    end_width_cases,
     growth_cases,
     hash_entries,
     outcome,
@@ -296,10 +298,11 @@ def test_unreachable_size_rejected_before_decoding():
 def identity():
     """The identity cases with the pure kernels' results, computed once per
     session: two ``(cases, streams, pure_results(...))`` groups, the short,
-    writer, bound, growth, damaged, edge and tail cases, then the reset and
-    run cases."""
+    writer, bound, END-width, growth, damaged, edge and tail cases, then the
+    reset and run cases."""
     rng = np.random.default_rng(36)
-    groups = [(short_cases(rng) + writer_cases() + bound_cases() + sum(growth_cases(), []),
+    groups = [(short_cases(rng) + writer_cases() + bound_cases() + end_width_cases()
+               + sum(growth_cases(), []),
                damaged_cases(rng) + edge_cases() + tail_cases()),
               (reset_cases() + run_cases(), [])]
     return [(cases, streams, pure_results(_lzw_py, cases, streams)) for cases, streams in groups]
@@ -362,6 +365,17 @@ def test_tail_and_writer_cases_reach_their_edges():
             residues.add(len(packed) % 8)
     assert gaps == {9: {8}, 12: {6086}, 16: {8136}, 20: {40647}}
     assert residues == set(range(8))
+
+
+def test_end_width_cases_write_end_one_bit_wider(kernel):
+    # 255 literals of 9 bits, then END of 10: 2,305 bits in 289 bytes, where
+    # an END of 9 bits would end the stream a byte earlier
+    for data, width in end_width_cases():
+        packed = kernel.encode(data, width)
+        codes, peak = _read_codes(packed, width)
+        assert codes == (*data, END) and peak == 513
+        assert len(packed) == 289 and len(kernel.encode(data, 9)) == 288
+        assert bytes(kernel.decode(packed, width, len(data))) == data
 
 
 def test_growth_cases_reach_their_edges():
@@ -491,6 +505,19 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")
+def test_kernels_start_on_64_byte_boundaries():
+    # a kernel's speed moved by a few percent with its offset in the library
+    # when functions were only 16-byte aligned. The library is mapped at a
+    # page boundary, so an address and its offset agree modulo 64
+    assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
+    names = ["lzw_encode", "lzw_decode", "px_project", "px_unproject",
+             "px_to_bitplanes", "px_from_bitplanes"]
+    addresses = {name: ctypes.cast(getattr(_lzw_native._lib, name), ctypes.c_void_p).value
+                 for name in names}
+    assert {name: a % 64 for name, a in addresses.items()} == dict.fromkeys(names, 0)
+
+
 def _identity_under(identity_pickle, tmp_path, sanitize, **env_extra):
     """Run every identity case on a kernel built with ``sanitize`` flags, in a subprocess.
 
@@ -549,6 +576,28 @@ def test_pure_backend_env_override():
     )
     assert out.stdout.strip() == "python"
     assert BACKEND in ("native", "python")
+
+
+def test_failed_build_falls_back_to_pure_kernels(tmp_path):
+    # a compiler command that fails, into an empty cache: importing the
+    # native module raises ImportError, lzw takes the pure kernels, and the
+    # failed build leaves no temporary file behind
+    src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CC="false",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SLIDECODEC_PURE", None)
+    script = ("from slidecodec.lzw import BACKEND, lzw_decode, lzw_encode\n"
+              "data = bytes(range(256)) * 40 + bytes(5000)\n"
+              "packed = lzw_encode(data, 12)\n"
+              "assert bytes(lzw_decode(packed, 12, size=len(data))) == data\n"
+              "print(BACKEND, packed.hex())\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    backend, packed = out.stdout.split()
+    assert backend == "python"
+    assert packed == _lzw_py.encode(bytes(range(256)) * 40 + bytes(5000), 12).hex()
+    assert (tmp_path / "slidecodec").is_dir()  # the build was tried there
+    assert list(tmp_path.rglob("*")) == [tmp_path / "slidecodec"]
 
 
 @pytest.mark.skipif(not _HAVE_CC, reason="no C compiler to build the native LZW kernel")

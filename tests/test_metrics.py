@@ -148,6 +148,11 @@ def test_psnr_size_mismatch():
         bitplane_psnr(np.zeros(8, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
 
 
+def test_psnr_of_empty_planes_rejected():
+    with pytest.raises(StructuralError, match="empty planes"):
+        bitplane_psnr(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+
+
 def test_psnr_matrix_shape_and_diagonal():
     m = psnr_matrix(smooth_gradient_patch(5), "raw")
     assert m.shape == (24, 24)

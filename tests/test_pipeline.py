@@ -126,6 +126,26 @@ def test_uncrop_rejects_malformed_crop_fields(rows, cols, height, width):
         uncrop(CropResult(cropped, rows, cols, height, width))
 
 
+# rows out of order, though their count is right and none is repeated, and
+# a 0x0 original, which is no image
+@pytest.mark.parametrize("cropped, rows, height, width, named", [
+    (np.ones((3, 4, 1), np.uint8), (4, 0), 5, 4, "removed rows must be strictly increasing"),
+    (np.ones((0, 0, 1), np.uint8), (), 0, 0, "original height must be an integer")])
+def test_uncrop_rejects_what_no_crop_gives(cropped, rows, height, width, named):
+    with pytest.raises(StructuralError, match=named):
+        uncrop(CropResult(cropped, rows, (), height, width))
+
+
+def test_uncrop_of_empty_crops():
+    # every line removed along one axis, or both: the general placement
+    # puts nothing back, and numpy integers serve as indices and sizes
+    for shape, rows, cols in [((0, 3, 1), (0, 1), ()), ((2, 0, 1), (), (0, 1, 2)),
+                              ((0, 0, 1), (0, 1), (0, 1, 2))]:
+        out = uncrop(CropResult(np.ones(shape, np.uint8), tuple(map(np.int64, rows)), cols,
+                                np.int64(2), 3))
+        assert out.shape == (2, 3, 1) and not out.any()
+
+
 # values a cast to uint8 would change: 300 to 44, 1.9 to 1
 @pytest.mark.parametrize("cropped", [np.full((2, 4, 1), 300), np.full((2, 4, 1), 1.9)])
 def test_uncrop_rejects_a_cropped_image_that_is_not_uint8(cropped):
@@ -238,6 +258,15 @@ def test_strip_alpha_warns_on_non_alpha_input():
     assert dropped is False
     assert out is img
     assert len(caught) == 1
+
+
+# an int16 image, a 2-D array, a side of length 0 and 2 channels
+@pytest.mark.parametrize("image, named", [
+    (np.zeros((4, 4, 3), np.int16), "uint8"), (np.zeros((4, 4), np.uint8), "shape"),
+    (np.zeros((0, 4, 3), np.uint8), "dimensions"), (np.zeros((4, 4, 2), np.uint8), "channel")])
+def test_compress_rejects_images_it_cannot_code(image, named):
+    with pytest.raises(UnsupportedLayoutError, match=named):
+        compress(image)
 
 
 def test_four_channel_rejected_without_drop():

@@ -171,6 +171,44 @@ def test_pam_unsupported_depth_rejected():
         read_image(b"P7\nWIDTH 1\nHEIGHT 1\nDEPTH 2\nMAXVAL 255\nENDHDR\n\x00\x00")
 
 
+def test_pnm_needs_whitespace_after_maxval():
+    # any other byte would belong to the maxval token, so the data ends there
+    with pytest.raises(MalformedHeaderError, match="^missing whitespace after maxval"):
+        read_image(b"P5 1 1 255")
+
+
+@pytest.mark.parametrize("data, error, named", [
+    (_pam().replace(b"ENDHDR\n", b"ENDHDR"), MalformedHeaderError, "^PAM header has no ENDHDR"),
+    (_pam(WIDTH=b"0"), MalformedHeaderError, "^bad dimensions 0x2"),
+    (_pam(MAXVAL=b"65535"), UnsupportedDepthError, "^maxval 65535 unsupported"),
+], ids=["no ENDHDR", "WIDTH 0", "MAXVAL 65535"])
+def test_pam_header_faults_rejected(data, error, named):
+    with pytest.raises(error, match=named):
+        read_image(data)
+
+
+def test_read_needs_a_known_format_that_the_data_has():
+    ppm = write_image(np.zeros((2, 2, 3), dtype=np.uint8), "ppm")
+    with pytest.raises(ImageFormatError, match="^unknown format 'xyz'"):
+        read_image(ppm, "xyz")
+    with pytest.raises(MalformedHeaderError, match="^not a binary PGM: magic b'P6'"):
+        read_image(ppm, "pgm")
+
+
+@pytest.mark.parametrize("image", [np.zeros((2, 2, 3), np.int16), np.zeros((2, 2), np.uint8)],
+                         ids=["int16", "2-D"])
+def test_write_needs_an_hwc_uint8_array(image):
+    with pytest.raises(ImageFormatError, match="^image must be an h x w x c uint8 array"):
+        write_image(image, "pam")
+
+
+def test_write_needs_a_format_that_holds_the_image():
+    with pytest.raises(ImageFormatError, match="^unknown format 'xyz'"):
+        write_image(np.zeros((2, 2, 3), dtype=np.uint8), "xyz")
+    with pytest.raises(ImageFormatError, match="^PAM supports 1/3/4 channels, image has 2"):
+        write_image(np.zeros((2, 2, 2), dtype=np.uint8), "pam")
+
+
 @pytest.mark.parametrize("channels,fmt", [(4, "ppm"), (3, "pgm"), (1, "ppm")])
 def test_channel_format_mismatch(channels, fmt):
     img = np.zeros((2, 2, channels), dtype=np.uint8)
