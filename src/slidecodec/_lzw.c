@@ -34,7 +34,13 @@
    each code into its accumulator and stores all 8 of its bytes, the
    decoder takes each code out of one big-endian 8-byte load. Only the
    decoder's last 7 input bytes are read one at a time, so no load passes
-   the end of the stream, and only they are tested for truncation. */
+   the end of the stream, and only they are tested for truncation.
+
+   The file builds with no -m or -march flag. Its one SIMD path, the SSSE3
+   bit-plane blocks, is compiled with a target attribute and taken only on
+   CPUs that report SSSE3, so a cached library runs on every host of its
+   architecture. Compiling with -DSLIDECODEC_NO_SIMD leaves that path out,
+   so that tests can run the portable one on any host. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -543,7 +549,14 @@ done:
    The wrapper in _lzw_native.py copies any other layout once, and never
    passes output rows that overlap each other. The caller checks shapes,
    channel counts and buffer sizes. The projection kernels return LZW_OK,
-   or LZW_NOMEM without scratch rows; the bit-plane kernels return nothing. */
+   or LZW_NOMEM without scratch rows; the bit-plane kernels return nothing.
+
+   The bit-plane kernels take 1 and 3 channels, on CPUs with SSSE3, 64
+   groups of 8 pixels at a time, so that each of the 8c planes is written or
+   read as one whole 64-byte line per block (to_blocks, from_blocks). Other
+   channel counts, other CPUs, the groups after the last whole block and the
+   last, partial group go through a SWAR transpose of one 64-bit word per
+   group and channel (to_planes, from_planes). */
 
 /* protobuf's ZigZag in 8 bits: (s << 1) ^ (s >> 7) on the int8 s, and back */
 static inline uint8_t zigzag8(unsigned v) { return (uint8_t)((v << 1) ^ (0u - ((v >> 7) & 1))); }
@@ -769,7 +782,7 @@ static inline void scatter8(uint64_t x, uint8_t *p, size_t c)
    bytes are assembled on the stack and stored as one word: the 8c planes
    being written lie plane_len apart, often a multiple of the page size, and
    byte stores to that many of them at once evict each other from the
-   cache. */
+   cache. The SSSE3 blocks below take this a whole cache line further. */
 static inline void to_planes(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
                              size_t plane_len)
 {
@@ -790,15 +803,211 @@ static inline void to_planes(const uint8_t *p, size_t n, size_t c, uint8_t *plan
                      plane_len);
 }
 
+/* Pixels of groups 0 .. n - 1, packed into p; the inverse of
+   to_planes. */
+static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                               size_t plane_len)
+{
+    for (size_t g = 0; g < n; g++, p += 8 * c)
+        for (size_t k = 0; k < c; k++)
+            scatter8(transpose8(gather8(planes + 8 * k * plane_len + g, plane_len)),
+                     p + k, c);
+}
+
+#if !defined(SLIDECODEC_NO_SIMD) && defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#include <tmmintrin.h>
+#define SSSE3_BLOCKS 1
+
+/* Line blocks with SSSE3 byte shuffles, for 1 and 3 channels (bitshuffle's
+   method: Masui et al., Astronomy and Computing 2015). The groups go BLOCK
+   at a time through a stack block that holds each of the 8c planes' BLOCK
+   bytes, one 64-byte line, so each plane line is written or read whole,
+   once per block: at plane_len 8192, the codec's 256x256 tiles, the 24
+   lines of an RGB block share one L1 set, and 8-byte stores to them evict
+   each other. Inside a block the pixels go 16 at a time, two groups:
+
+   - to_blocks: pshufb splits them into one vector per channel, each group's
+     bytes in reverse order; pmovmskb then gathers the top bit of each byte,
+     so bit 7 of group i's byte is its first pixel's: the two bytes of
+     plane section 0. paddb moves the next bit up, for section 1, and so on.
+   - from_blocks: pshufb spreads a plane section's two bytes over the lanes
+     of their group, pand/pcmpeqb against LANE_BIT sets each lane to -1
+     where its pixel's bit is 1, and acc + acc - that shifts the bit in;
+     pshufb then interleaves the channels back into pixels. */
+enum { BLOCK = 64 };
+
+#define SSSE3 __attribute__((target("ssse3")))
+#define SSSE3_INLINE __attribute__((target("ssse3"), always_inline)) inline
+/* -O2 does not unroll the fixed loops over channels and planes, and then
+   keeps the channel vectors in memory */
+#define UNROLL(n) _Pragma(STRINGIFY(GCC unroll n))
+#define STRINGIFY(x) #x
+
+/* Lane l of a vector of 16 pixels holds pixel px(l) = (l & 8) + 7 - (l & 7):
+   each group in reverse order. REVERSE takes one channel there; SPLIT3[k][v]
+   takes the bytes 3 px(l) + k of channel k that lie in vector v of three
+   RGB vectors, and zeroes (-1) the lanes whose bytes lie in the others. */
+static const int8_t REVERSE[16] = {7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8};
+static const int8_t SPLIT3[3][3][16] = {
+    {{-1, -1, 15, 12, 9, 6, 3, 0, -1, -1, -1, -1, -1, -1, -1, -1},
+     {5, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 14, 11, 8},
+     {-1, -1, -1, -1, -1, -1, -1, -1, 13, 10, 7, 4, 1, -1, -1, -1}},
+    {{-1, -1, -1, 13, 10, 7, 4, 1, -1, -1, -1, -1, -1, -1, -1, -1},
+     {6, 3, 0, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 15, 12, 9},
+     {-1, -1, -1, -1, -1, -1, -1, -1, 14, 11, 8, 5, 2, -1, -1, -1}},
+    {{-1, -1, -1, 14, 11, 8, 5, 2, -1, -1, -1, -1, -1, -1, -1, -1},
+     {7, 4, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 13, 10},
+     {-1, -1, -1, -1, -1, -1, -1, -1, 15, 12, 9, 6, 3, 0, -1, -1}},
+};
+/* The way back, in pixel order: MERGE3[v][k] puts pixel (16v + l) / 3 of
+   channel k in lane l of RGB vector v where (16v + l) % 3 is k. SPREAD
+   copies a section's byte for each group over the group's lanes, and
+   LANE_BIT is each lane's pixel's bit in that byte. */
+static const int8_t MERGE3[3][3][16] = {
+    {{0, -1, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1, -1, 5},
+     {-1, 0, -1, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1, -1},
+     {-1, -1, 0, -1, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1}},
+    {{-1, -1, 6, -1, -1, 7, -1, -1, 8, -1, -1, 9, -1, -1, 10, -1},
+     {5, -1, -1, 6, -1, -1, 7, -1, -1, 8, -1, -1, 9, -1, -1, 10},
+     {-1, 5, -1, -1, 6, -1, -1, 7, -1, -1, 8, -1, -1, 9, -1, -1}},
+    {{-1, 11, -1, -1, 12, -1, -1, 13, -1, -1, 14, -1, -1, 15, -1, -1},
+     {-1, -1, 11, -1, -1, 12, -1, -1, 13, -1, -1, 14, -1, -1, 15, -1},
+     {10, -1, -1, 11, -1, -1, 12, -1, -1, 13, -1, -1, 14, -1, -1, 15}},
+};
+static const int8_t SPREAD[16] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1};
+static const uint8_t LANE_BIT[16] = {0x80, 0x40, 0x20, 0x10, 8, 4, 2, 1,
+                                     0x80, 0x40, 0x20, 0x10, 8, 4, 2, 1};
+
+static SSSE3_INLINE __m128i load16(const void *p)
+{
+    return _mm_loadu_si128((const __m128i *)p);
+}
+
+static SSSE3_INLINE __m128i shuffle3(__m128i a, __m128i b, __m128i d, const int8_t m[3][16])
+{
+    return _mm_or_si128(_mm_or_si128(_mm_shuffle_epi8(a, load16(m[0])),
+                                     _mm_shuffle_epi8(b, load16(m[1]))),
+                        _mm_shuffle_epi8(d, load16(m[2])));
+}
+
+/* to_planes of the whole blocks of n groups; returns the groups done. */
+static SSSE3_INLINE size_t to_blocks(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
+                                     size_t plane_len)
+{
+    uint8_t block[24][BLOCK]; /* block[8k + j][i]: plane section j of channel k, group g + i */
+    size_t g = 0;
+    for (; g + BLOCK <= n; g += BLOCK) {
+        for (size_t i = 0; i < BLOCK; i += 2, p += 16 * c) {
+            __m128i ch[3];
+            if (c == 1) {
+                ch[0] = _mm_shuffle_epi8(load16(p), load16(REVERSE));
+            } else {
+                const __m128i a = load16(p), b = load16(p + 16), d = load16(p + 32);
+                UNROLL(3) for (size_t k = 0; k < 3; k++)
+                    ch[k] = shuffle3(a, b, d, SPLIT3[k]);
+            }
+            UNROLL(3) for (size_t k = 0; k < c; k++) {
+                UNROLL(8) for (size_t j = 0; j < 8; j++, ch[k] = _mm_add_epi8(ch[k], ch[k])) {
+                    /* group g + i's byte, then g + i + 1's */
+                    const uint16_t bits = (uint16_t)_mm_movemask_epi8(ch[k]);
+                    memcpy(&block[8 * k + j][i], &bits, 2);
+                }
+            }
+        }
+        for (size_t j = 0; j < 8 * c; j++)
+            memcpy(planes + j * plane_len + g, block[j], BLOCK);
+    }
+    return g;
+}
+
+/* from_planes of the whole blocks of n groups; returns the groups done. */
+static SSSE3_INLINE size_t from_blocks(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                                       size_t plane_len)
+{
+    /* a step loads 16 bytes from its 2 in a line: 14 bytes follow the last line */
+    uint8_t block[24 * BLOCK + 14] = {0};
+    const __m128i bit = load16(LANE_BIT);
+    size_t g = 0;
+    for (; g + BLOCK <= n; g += BLOCK) {
+        for (size_t j = 0; j < 8 * c; j++)
+            memcpy(block + j * BLOCK, planes + j * plane_len + g, BLOCK);
+        for (size_t i = 0; i < BLOCK; i += 2, p += 16 * c) {
+            __m128i ch[3];
+            UNROLL(3) for (size_t k = 0; k < c; k++) {
+                ch[k] = _mm_setzero_si128();
+                UNROLL(8) for (size_t j = 0; j < 8; j++) {
+                    const __m128i bytes = load16(block + (8 * k + j) * BLOCK + i);
+                    const __m128i lane = _mm_and_si128(_mm_shuffle_epi8(bytes, load16(SPREAD)), bit);
+                    ch[k] = _mm_sub_epi8(_mm_add_epi8(ch[k], ch[k]), _mm_cmpeq_epi8(lane, bit));
+                }
+            }
+            if (c == 1) {
+                _mm_storeu_si128((__m128i *)p, ch[0]);
+            } else {
+                UNROLL(3) for (size_t v = 0; v < 3; v++)
+                    _mm_storeu_si128((__m128i *)(p + 16 * v), shuffle3(ch[0], ch[1], ch[2], MERGE3[v]));
+            }
+        }
+    }
+    return g;
+}
+
+static SSSE3 size_t to_blocks_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
+                                size_t plane_len)
+{
+    return c == 1 ? to_blocks(p, n, 1, planes, plane_len) : to_blocks(p, n, 3, planes, plane_len);
+}
+
+static SSSE3 size_t from_blocks_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                                  size_t plane_len)
+{
+    return c == 1 ? from_blocks(planes, n, 1, p, plane_len)
+                  : from_blocks(planes, n, 3, p, plane_len);
+}
+
+/* Whether the SSSE3 blocks take the first groups of c channels. */
+static int use_blocks(size_t c)
+{
+    return (c == 1 || c == 3) && __builtin_cpu_supports("ssse3");
+}
+#endif
+
 static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
                         size_t plane_len)
 {
+#ifdef SSSE3_BLOCKS
+    if (use_blocks(c)) {
+        const size_t g = to_blocks_c(p, n, c, planes, plane_len);
+        p += 8 * g * c;
+        planes += g;
+        n -= g;
+    }
+#endif
     if (c == 1)
         to_planes(p, n, 1, planes, plane_len);
     else if (c == 3)
         to_planes(p, n, 3, planes, plane_len);
     else
         to_planes(p, n, c, planes, plane_len);
+}
+
+static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
+                          size_t plane_len)
+{
+#ifdef SSSE3_BLOCKS
+    if (use_blocks(c)) {
+        const size_t g = from_blocks_c(planes, n, c, p, plane_len);
+        planes += g;
+        p += 8 * g * c;
+        n -= g;
+    }
+#endif
+    if (c == 1)
+        from_planes(planes, n, 1, p, plane_len);
+    else if (c == 3)
+        from_planes(planes, n, 3, p, plane_len);
+    else
+        from_planes(planes, n, c, p, plane_len);
 }
 
 /* planes = to_bitplanes(x), x contiguous: c * 8 * ceil(h*w / 8) bytes, any c. */
@@ -816,28 +1025,6 @@ void px_to_bitplanes(const uint8_t *x, size_t h, size_t w, size_t c, uint8_t *pl
             v |= (uint64_t)x[i * c + k] << (56 - 8 * i);
         scatter8(transpose8(v), planes + 8 * k * plane_len + groups, plane_len);
     }
-}
-
-/* Pixels of groups 0 .. n - 1, packed into p; the inverse of
-   to_planes. */
-static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                               size_t plane_len)
-{
-    for (size_t g = 0; g < n; g++, p += 8 * c)
-        for (size_t k = 0; k < c; k++)
-            scatter8(transpose8(gather8(planes + 8 * k * plane_len + g, plane_len)),
-                     p + k, c);
-}
-
-static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                          size_t plane_len)
-{
-    if (c == 1)
-        from_planes(planes, n, 1, p, plane_len);
-    else if (c == 3)
-        from_planes(planes, n, 3, p, plane_len);
-    else
-        from_planes(planes, n, c, p, plane_len);
 }
 
 /* y (packed, h*w*c bytes) = from_bitplanes(planes); pad bits are ignored. */

@@ -32,7 +32,9 @@ from .errors import CorruptStreamError, TruncatedStreamError
 
 SOURCE = Path(__file__).with_name("_lzw.c")
 # Every function starts on a 64-byte boundary, so a kernel's speed does not
-# move with the length of the code above it in the library.
+# move with the length of the code above it in the library. No -m or -march
+# flag: the cache key names no CPU, so a library in a shared cache must run
+# on any host of the machine type; _lzw.c picks its SIMD path at run time.
 CFLAGS = ["-O2", "-shared", "-fPIC", "-falign-functions=64"]
 KEEP_LIBRARIES = 4  # cached builds kept, newest by modification time
 

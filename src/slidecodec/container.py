@@ -31,6 +31,7 @@ build one. Varints are the usual 7-bits-per-byte encoding with the high
 bit as a continuation flag.
 """
 
+import itertools
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -256,26 +257,41 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def varint(self, what):
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1, what)[0]
+    def varints(self, count, what):
+        """The next ``count`` varints, decoded from one slice in one loop.
+
+        A varint is 1 to 10 bytes, so they lie in the slice of the next
+        10 * count bytes, which the bytes present bound however large the
+        count. When the first ``count`` are all below 0x80, each is one byte.
+        """
+        start = self.pos
+        chunk = bytes(self.data[start : start + 10 * count])
+        if len(chunk) >= count and chunk[:count].isascii():
+            self.pos = start + count
+            return chunk[:count]
+        values = []
+        value = shift = at = 0
+        while len(values) < count:
+            if at == len(chunk):  # the data ends here, as no varint passes 10 bytes
+                self.pos = start + at
+                self.take(1, what)  # raises
+            byte = chunk[at]
+            at += 1
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
-                return value
+                values.append(value)
+                value = shift = 0
+                continue
             shift += 7
             if shift > 63:
                 raise StructuralError(f"varint too long in {what}")
+        self.pos = start + at
+        return values
 
     def index_list(self, what):
-        count = self.varint(what)
-        indices = []
-        prev = 0
-        for _ in range(count):
-            prev += self.varint(what)
-            indices.append(prev)
-        return tuple(indices)
+        """A count, then that many gaps: the first index, then each from the last."""
+        (count,) = self.varints(1, what)
+        return tuple(itertools.accumulate(self.varints(count, what)))
 
 
 def read_container(data: bytes) -> Container:

@@ -9,14 +9,23 @@ input and ``unproject``'s output reach the native kernels in place when their
 rows are packed (contiguous, or rows reversed, which gives a negative row
 stride); every other layout, and any non-contiguous input to ``unproject``
 or ``to_bitplanes``, goes through the wrapper's one copy.
-``tests/test_native_stages.py`` drives these checks with Hypothesis;
-:func:`check_stages` runs a seeded batch of them, which ``tests/test_lzw.py``
-runs on kernels built with UBSan and with AddressSanitizer.
+``tests/test_native_stages.py`` drives these checks with Hypothesis, and
+runs :func:`check_block_edges`; :func:`check_stages` runs a seeded batch of
+them and the block edges, which ``tests/test_lzw.py`` runs on kernels built
+with UBSan and with AddressSanitizer, with and without the SIMD path.
 """
 
 import numpy as np
 
 LAYOUTS = ("contiguous", "rows reversed", "columns reversed", "strided", "channels reversed")
+
+# Shapes at the edges of the native bit-plane kernels' blocks of 512 pixels
+# (64 groups of 8): h*w = 512k + d, one block or two and a few pixels or
+# groups either side, then the codec's 256x256 tile, whose planes are 8192
+# bytes apart, two pages, and a 256x132 edge tile.
+BLOCK_EDGE_SHAPES = tuple((1, 512 * k + d) if k == 1 else (512 * k + d, 1)
+                          for k in (1, 2) for d in (-9, -8, -1, 0, 1, 7, 8, 9)
+                          ) + ((256, 256), (256, 132))
 
 
 def array(rng, h, w, c, layout):
@@ -82,9 +91,20 @@ def check_bitplanes(native, pure, r, rng):
         assert np.array_equal(native.from_bitplanes(given, h, w, c), want)
 
 
+def check_block_edges(native, pure, rng):
+    """The bit-plane kernels on every ``BLOCK_EDGE_SHAPES`` shape, in every
+    layout, at 1, 3 and 4 channels: the block paths and the one left to the
+    SWAR kernels."""
+    for h, w in BLOCK_EDGE_SHAPES:
+        for layout in LAYOUTS:
+            for c in (1, 3, 4):
+                check_bitplanes(native, pure, array(rng, h, w, c, layout), rng)
+
+
 def check_stages(native, pure, rng, count):
     """``count`` random shapes up to 40x40, each in every layout, through all
-    four kernels: 1 and 3 channels for projection, 0 to 4 for bit-planes."""
+    four kernels: 1 and 3 channels for projection, 0 to 4 for bit-planes;
+    then :func:`check_block_edges`."""
     for _ in range(count):
         h, w = (int(n) for n in rng.integers(1, 41, 2))
         for layout in LAYOUTS:
@@ -94,3 +114,4 @@ def check_stages(native, pure, rng, count):
                 check_unproject(native, pure, x, rng)
             for c in range(5):
                 check_bitplanes(native, pure, array(rng, h, w, c, layout), rng)
+    check_block_edges(native, pure, rng)

@@ -218,6 +218,27 @@ def test_varint_longer_than_63_bits_rejected():
         read_container(blob)
 
 
+def test_cut_crop_lists_name_where_they_end():
+    head = MAGIC + struct.pack("<HHIIBBI", 1, 0, 3, 200, 1, 8, 16)
+    cases = [
+        # two gaps, the second cut after its first byte
+        (b"\x02\x01\x80", "removed-rows block", len(head) + 3),
+        # a count of 300 (two bytes) with 5 one-byte gaps after it
+        (b"\xac\x02" + b"\x01" * 5, "removed-rows block", len(head) + 7),
+        # a count of 2**63 - 1: nothing is allocated for it
+        (b"\xff" * 8 + b"\x7f" + b"\x05" * 3, "removed-rows block", len(head) + 12),
+        # an empty rows list, then a cols list cut inside its count
+        (b"\x00\x81", "removed-cols block", len(head) + 2),
+    ]
+    for tail, what, offset in cases:
+        with deadline(1.0), pytest.raises(TruncatedStreamError) as err:
+            read_container(head + tail)
+        assert str(err.value) == f"container ends inside {what} (offset {offset}, wanted 1 bytes)"
+    # a gap of ten bytes is too long, even with bytes after it
+    with pytest.raises(StructuralError, match="^varint too long in removed-cols block$"):
+        read_container(head + b"\x00\x01" + b"\x80" * 10 + b"\x00" * 8)
+
+
 def test_tiling_mismatch_rejected():
     header = ContainerHeader(3, 2, 1, 16)
     rec = PatchRecord(0, 0, 1, 3, 3, 2, STAGE_LZW)  # misses the second row

@@ -16,7 +16,8 @@ from slidecodec import _lzw_py, lzw, transform
 from slidecodec.pipeline import CompressionConfig, compress, decompress
 from slidecodec.transform import unproject
 
-from stage_cases import LAYOUTS, array, check_bitplanes, check_project, check_unproject
+from stage_cases import (LAYOUTS, array, check_bitplanes, check_block_edges, check_project,
+                         check_unproject)
 
 try:
     from slidecodec import _lzw_native
@@ -54,6 +55,10 @@ def test_unproject_matches_numpy_in_place_too(native, h, w, c, layout, seed):
 def test_bitplanes_match_numpy(native, h, w, c, layout, seed):
     rng = np.random.default_rng(seed)
     check_bitplanes(native, _lzw_py, array(rng, h, w, c, layout), rng)
+
+
+def test_bitplanes_match_numpy_at_block_edges(native):
+    check_block_edges(native, _lzw_py, np.random.default_rng(44))
 
 
 def test_backends_share_one_interface(native):
