@@ -39,8 +39,9 @@
    The file builds with no -m or -march flag. Its one SIMD path, the SSSE3
    bit-plane blocks, is compiled with a target attribute and taken only on
    CPUs that report SSSE3, so a cached library runs on every host of its
-   architecture. Compiling with -DSLIDECODEC_NO_SIMD leaves that path out,
-   so that tests can run the portable one on any host. */
+   architecture. -DSLIDECODEC_NO_SIMD leaves that path out, as a build for
+   another architecture does; the tests compile the file that way too, so
+   that build stays free of warnings. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -551,12 +552,12 @@ done:
    channel counts and buffer sizes. The projection kernels return LZW_OK,
    or LZW_NOMEM without scratch rows; the bit-plane kernels return nothing.
 
-   The bit-plane kernels take 1 and 3 channels, on CPUs with SSSE3, 64
-   groups of 8 pixels at a time, so that each of the 8c planes is written or
-   read as one whole 64-byte line per block (to_blocks, from_blocks). Other
-   channel counts, other CPUs, the groups after the last whole block and the
-   last, partial group go through a SWAR transpose of one 64-bit word per
-   group and channel (to_planes, from_planes). */
+   The bit-plane kernels take 3 channels, on CPUs with SSSE3, 64 groups of
+   8 pixels at a time, so that each of the 24 planes is written or read as
+   one whole 64-byte line per block (to_blocks, from_blocks). Other channel
+   counts, other CPUs, the groups after the last whole block and the last,
+   partial group go through a SWAR transpose of one 64-bit word per group
+   and channel (to_planes, from_planes). */
 
 /* protobuf's ZigZag in 8 bits: (s << 1) ^ (s >> 7) on the int8 s, and back */
 static inline uint8_t zigzag8(unsigned v) { return (uint8_t)((v << 1) ^ (0u - ((v >> 7) & 1))); }
@@ -818,9 +819,9 @@ static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_
 #include <tmmintrin.h>
 #define SSSE3_BLOCKS 1
 
-/* Line blocks with SSSE3 byte shuffles, for 1 and 3 channels (bitshuffle's
+/* Line blocks with SSSE3 byte shuffles, for 3 channels (bitshuffle's
    method: Masui et al., Astronomy and Computing 2015). The groups go BLOCK
-   at a time through a stack block that holds each of the 8c planes' BLOCK
+   at a time through a stack block that holds each of the 24 planes' BLOCK
    bytes, one 64-byte line, so each plane line is written or read whole,
    once per block: at plane_len 8192, the codec's 256x256 tiles, the 24
    lines of an RGB block share one L1 set, and 8-byte stores to them evict
@@ -844,10 +845,9 @@ enum { BLOCK = 64 };
 #define STRINGIFY(x) #x
 
 /* Lane l of a vector of 16 pixels holds pixel px(l) = (l & 8) + 7 - (l & 7):
-   each group in reverse order. REVERSE takes one channel there; SPLIT3[k][v]
-   takes the bytes 3 px(l) + k of channel k that lie in vector v of three
-   RGB vectors, and zeroes (-1) the lanes whose bytes lie in the others. */
-static const int8_t REVERSE[16] = {7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8};
+   each group in reverse order. SPLIT3[k][v] takes the bytes 3 px(l) + k of
+   channel k that lie in vector v of three RGB vectors, and zeroes (-1) the
+   lanes whose bytes lie in the others. */
 static const int8_t SPLIT3[3][3][16] = {
     {{-1, -1, 15, 12, 9, 6, 3, 0, -1, -1, -1, -1, -1, -1, -1, -1},
      {5, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 14, 11, 8},
@@ -890,23 +890,19 @@ static SSSE3_INLINE __m128i shuffle3(__m128i a, __m128i b, __m128i d, const int8
                         _mm_shuffle_epi8(d, load16(m[2])));
 }
 
-/* to_planes of the whole blocks of n groups; returns the groups done. */
-static SSSE3_INLINE size_t to_blocks(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
-                                     size_t plane_len)
+/* to_planes of the whole blocks of n groups of 3 channels; returns the
+   groups done. */
+static SSSE3 size_t to_blocks(const uint8_t *p, size_t n, uint8_t *planes, size_t plane_len)
 {
     uint8_t block[24][BLOCK]; /* block[8k + j][i]: plane section j of channel k, group g + i */
     size_t g = 0;
     for (; g + BLOCK <= n; g += BLOCK) {
-        for (size_t i = 0; i < BLOCK; i += 2, p += 16 * c) {
+        for (size_t i = 0; i < BLOCK; i += 2, p += 48) {
+            const __m128i a = load16(p), b = load16(p + 16), d = load16(p + 32);
             __m128i ch[3];
-            if (c == 1) {
-                ch[0] = _mm_shuffle_epi8(load16(p), load16(REVERSE));
-            } else {
-                const __m128i a = load16(p), b = load16(p + 16), d = load16(p + 32);
-                UNROLL(3) for (size_t k = 0; k < 3; k++)
-                    ch[k] = shuffle3(a, b, d, SPLIT3[k]);
-            }
-            UNROLL(3) for (size_t k = 0; k < c; k++) {
+            UNROLL(3) for (size_t k = 0; k < 3; k++)
+                ch[k] = shuffle3(a, b, d, SPLIT3[k]);
+            UNROLL(3) for (size_t k = 0; k < 3; k++) {
                 UNROLL(8) for (size_t j = 0; j < 8; j++, ch[k] = _mm_add_epi8(ch[k], ch[k])) {
                     /* group g + i's byte, then g + i + 1's */
                     const uint16_t bits = (uint16_t)_mm_movemask_epi8(ch[k]);
@@ -914,26 +910,26 @@ static SSSE3_INLINE size_t to_blocks(const uint8_t *p, size_t n, size_t c, uint8
                 }
             }
         }
-        for (size_t j = 0; j < 8 * c; j++)
+        for (size_t j = 0; j < 24; j++)
             memcpy(planes + j * plane_len + g, block[j], BLOCK);
     }
     return g;
 }
 
-/* from_planes of the whole blocks of n groups; returns the groups done. */
-static SSSE3_INLINE size_t from_blocks(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                                       size_t plane_len)
+/* from_planes of the whole blocks of n groups of 3 channels; returns the
+   groups done. */
+static SSSE3 size_t from_blocks(const uint8_t *planes, size_t n, uint8_t *p, size_t plane_len)
 {
     /* a step loads 16 bytes from its 2 in a line: 14 bytes follow the last line */
     uint8_t block[24 * BLOCK + 14] = {0};
     const __m128i bit = load16(LANE_BIT);
     size_t g = 0;
     for (; g + BLOCK <= n; g += BLOCK) {
-        for (size_t j = 0; j < 8 * c; j++)
+        for (size_t j = 0; j < 24; j++)
             memcpy(block + j * BLOCK, planes + j * plane_len + g, BLOCK);
-        for (size_t i = 0; i < BLOCK; i += 2, p += 16 * c) {
+        for (size_t i = 0; i < BLOCK; i += 2, p += 48) {
             __m128i ch[3];
-            UNROLL(3) for (size_t k = 0; k < c; k++) {
+            UNROLL(3) for (size_t k = 0; k < 3; k++) {
                 ch[k] = _mm_setzero_si128();
                 UNROLL(8) for (size_t j = 0; j < 8; j++) {
                     const __m128i bytes = load16(block + (8 * k + j) * BLOCK + i);
@@ -941,34 +937,17 @@ static SSSE3_INLINE size_t from_blocks(const uint8_t *planes, size_t n, size_t c
                     ch[k] = _mm_sub_epi8(_mm_add_epi8(ch[k], ch[k]), _mm_cmpeq_epi8(lane, bit));
                 }
             }
-            if (c == 1) {
-                _mm_storeu_si128((__m128i *)p, ch[0]);
-            } else {
-                UNROLL(3) for (size_t v = 0; v < 3; v++)
-                    _mm_storeu_si128((__m128i *)(p + 16 * v), shuffle3(ch[0], ch[1], ch[2], MERGE3[v]));
-            }
+            UNROLL(3) for (size_t v = 0; v < 3; v++)
+                _mm_storeu_si128((__m128i *)(p + 16 * v), shuffle3(ch[0], ch[1], ch[2], MERGE3[v]));
         }
     }
     return g;
 }
 
-static SSSE3 size_t to_blocks_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
-                                size_t plane_len)
-{
-    return c == 1 ? to_blocks(p, n, 1, planes, plane_len) : to_blocks(p, n, 3, planes, plane_len);
-}
-
-static SSSE3 size_t from_blocks_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
-                                  size_t plane_len)
-{
-    return c == 1 ? from_blocks(planes, n, 1, p, plane_len)
-                  : from_blocks(planes, n, 3, p, plane_len);
-}
-
 /* Whether the SSSE3 blocks take the first groups of c channels. */
 static int use_blocks(size_t c)
 {
-    return (c == 1 || c == 3) && __builtin_cpu_supports("ssse3");
+    return c == 3 && __builtin_cpu_supports("ssse3");
 }
 #endif
 
@@ -977,8 +956,8 @@ static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
 {
 #ifdef SSSE3_BLOCKS
     if (use_blocks(c)) {
-        const size_t g = to_blocks_c(p, n, c, planes, plane_len);
-        p += 8 * g * c;
+        const size_t g = to_blocks(p, n, planes, plane_len);
+        p += 24 * g;
         planes += g;
         n -= g;
     }
@@ -996,9 +975,9 @@ static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
 {
 #ifdef SSSE3_BLOCKS
     if (use_blocks(c)) {
-        const size_t g = from_blocks_c(planes, n, c, p, plane_len);
+        const size_t g = from_blocks(planes, n, p, plane_len);
         planes += g;
-        p += 8 * g * c;
+        p += 24 * g;
         n -= g;
     }
 #endif

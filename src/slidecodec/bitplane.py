@@ -20,7 +20,7 @@ three masked shift-and-XOR rounds that swap 1x1, 2x2 and 4x4 sub-blocks
 ``transpose8``); a byte transpose then gathers each plane's bytes.
 Transposition is an involution, so decoding runs the same rounds. Both
 directions are one call into the kernel module that ``lzw`` chose: its numpy
-kernels run the rounds on every word at once. Its C kernels take 1 and 3
+kernels run the rounds on every word at once. Its C kernels take 3
 channels, on CPUs with SSSE3, 512 pixels at a time, each plane's 64 bytes
 for them written or read as one cache line, with byte shuffles and
 ``movemask`` doing the transpose (bitshuffle's method, Masui et al. 2015);

@@ -31,7 +31,6 @@ build one. Varints are the usual 7-bits-per-byte encoding with the high
 bit as a continuation flag.
 """
 
-import itertools
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -262,36 +261,39 @@ class _Reader:
 
         A varint is 1 to 10 bytes, so they lie in the slice of the next
         10 * count bytes, which the bytes present bound however large the
-        count. When the first ``count`` are all below 0x80, each is one byte.
+        count.
         """
         start = self.pos
         chunk = bytes(self.data[start : start + 10 * count])
-        if len(chunk) >= count and chunk[:count].isascii():
-            self.pos = start + count
-            return chunk[:count]
         values = []
-        value = shift = at = 0
-        while len(values) < count:
-            if at == len(chunk):  # the data ends here, as no varint passes 10 bytes
-                self.pos = start + at
-                self.take(1, what)  # raises
-            byte = chunk[at]
-            at += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                values.append(value)
-                value = shift = 0
-                continue
-            shift += 7
-            if shift > 63:
-                raise StructuralError(f"varint too long in {what}")
+        at, end = 0, len(chunk)
+        for _ in range(count):
+            value = shift = 0
+            while True:
+                if at == end:  # the data ends here, as no varint passes 10 bytes
+                    self.pos = start + at
+                    self.take(1, what)  # raises
+                byte = chunk[at]
+                at += 1
+                value |= (byte & 0x7F) << shift
+                if not byte & 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise StructuralError(f"varint too long in {what}")
+            values.append(value)
         self.pos = start + at
         return values
 
     def index_list(self, what):
         """A count, then that many gaps: the first index, then each from the last."""
         (count,) = self.varints(1, what)
-        return tuple(itertools.accumulate(self.varints(count, what)))
+        indices = []
+        prev = 0
+        for gap in self.varints(count, what):
+            prev += gap
+            indices.append(prev)
+        return tuple(indices)
 
 
 def read_container(data: bytes) -> Container:

@@ -12,7 +12,7 @@ or ``to_bitplanes``, goes through the wrapper's one copy.
 ``tests/test_native_stages.py`` drives these checks with Hypothesis, and
 runs :func:`check_block_edges`; :func:`check_stages` runs a seeded batch of
 them and the block edges, which ``tests/test_lzw.py`` runs on kernels built
-with UBSan and with AddressSanitizer, with and without the SIMD path.
+with UBSan and with AddressSanitizer.
 """
 
 import numpy as np
@@ -93,8 +93,9 @@ def check_bitplanes(native, pure, r, rng):
 
 def check_block_edges(native, pure, rng):
     """The bit-plane kernels on every ``BLOCK_EDGE_SHAPES`` shape, in every
-    layout, at 1, 3 and 4 channels: the block paths and the one left to the
-    SWAR kernels."""
+    layout, at 1, 3 and 4 channels: the 3-channel block path, the SWAR
+    kernels it leaves its last groups to, and those that take 1 and 4
+    channels whole."""
     for h, w in BLOCK_EDGE_SHAPES:
         for layout in LAYOUTS:
             for c in (1, 3, 4):

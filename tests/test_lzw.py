@@ -491,24 +491,16 @@ def test_backends_byte_identical_on_runs(pairs):
         assert _lzw_native.encode(data, width) == _lzw_py.encode(data, width)
 
 
-# -fno-sanitize-recover turns any undefined behaviour into an abort, so a
-# clean exit means none was hit
-UBSAN = "-fsanitize=undefined -fno-sanitize-recover=all"
-ASAN = "-fsanitize=address -fno-omit-frame-pointer"
-# leaves the SSSE3 bit-plane blocks out of the build (see _lzw.c's header),
-# so the SWAR kernels that other CPUs run do all the work on this one too
-NO_SIMD = "-DSLIDECODEC_NO_SIMD"
-
-
 def test_kernel_compiles_without_warnings(tmp_path):
     # compiled as the cache build is (its -O2), so warnings that only the
     # optimiser finds, such as an unused static function, count too; with
-    # the SIMD path and without it
+    # the SIMD path and, as other architectures build it, without it (see
+    # _lzw.c's header)
     assert _lzw_native is not None, f"a C compiler exists but {_native_error}"
     assert not any(f.startswith("-m") for f in _lzw_native.CFLAGS)  # runs on any host
     cc = (os.environ.get("CC") or "cc").split()
     flags = [f for f in _lzw_native.CFLAGS if f != "-shared"]
-    for variant in ([], [NO_SIMD]):
+    for variant in ([], ["-DSLIDECODEC_NO_SIMD"]):
         out = subprocess.run(
             [*cc, *flags, *variant, "-std=c99", "-Wall", "-Wextra", "-Werror", "-c",
              str(_lzw_native.SOURCE), "-o", str(tmp_path / "_lzw.o")],
@@ -530,8 +522,8 @@ def test_kernels_start_on_64_byte_boundaries():
     assert {name: a % 64 for name, a in addresses.items()} == dict.fromkeys(names, 0)
 
 
-def _identity_under(identity_pickle, tmp_path, flags, **env_extra):
-    """Run every identity case on a kernel built with ``flags``, in a subprocess.
+def _identity_under(identity_pickle, tmp_path, sanitize, **env_extra):
+    """Run every identity case on a kernel built with ``sanitize`` flags, in a subprocess.
 
     The LZW cases, checked against the pure results in ``identity_pickle``
     (they do not depend on how the native kernel is built), then the
@@ -542,7 +534,7 @@ def _identity_under(identity_pickle, tmp_path, flags, **env_extra):
     cc = os.environ.get("CC") or "cc"
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(_lzw_py.__file__))
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CC=f"{cc} {flags}",
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CC=f"{cc} {sanitize}",
                PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
                **env_extra)
     env.pop("SLIDECODEC_PURE", None)
@@ -563,35 +555,21 @@ def _identity_under(identity_pickle, tmp_path, flags, **env_extra):
     assert len(list((tmp_path / "slidecodec").glob("_lzw-*.so"))) == 1
 
 
-def _asan_env():
-    """The environment an ASan build runs in: the interpreter itself is not
-    instrumented, so the runtime is preloaded; any out-of-bounds access in
-    the kernel's heap buffers aborts the run. Leak checking is off: the
-    interpreter keeps memory until exit."""
-    cc = (os.environ.get("CC") or "cc").split()
-    runtime = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
-                             text=True, check=True).stdout.strip()
-    return dict(LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
-
-
 def test_backends_byte_identical_under_ubsan(identity_pickle, tmp_path):
-    _identity_under(identity_pickle, tmp_path, UBSAN)
+    # -fno-sanitize-recover turns any undefined behaviour into an abort, so a
+    # clean exit means none was hit
+    _identity_under(identity_pickle, tmp_path, "-fsanitize=undefined -fno-sanitize-recover=all")
 
 
 def test_backends_byte_identical_under_asan(identity_pickle, tmp_path):
-    _identity_under(identity_pickle, tmp_path, ASAN, **_asan_env())
-
-
-def test_swar_build_byte_identical(identity_pickle, tmp_path):
-    _identity_under(identity_pickle, tmp_path, NO_SIMD)
-
-
-def test_swar_build_byte_identical_under_ubsan(identity_pickle, tmp_path):
-    _identity_under(identity_pickle, tmp_path, f"{NO_SIMD} {UBSAN}")
-
-
-def test_swar_build_byte_identical_under_asan(identity_pickle, tmp_path):
-    _identity_under(identity_pickle, tmp_path, f"{NO_SIMD} {ASAN}", **_asan_env())
+    # the interpreter itself is not instrumented, so the runtime is preloaded;
+    # any out-of-bounds access in the kernel's heap buffers aborts the run.
+    # Leak checking is off: the interpreter keeps memory until exit.
+    cc = (os.environ.get("CC") or "cc").split()
+    runtime = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    _identity_under(identity_pickle, tmp_path, "-fsanitize=address -fno-omit-frame-pointer",
+                    LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
 
 
 def test_pure_backend_env_override():
