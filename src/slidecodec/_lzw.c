@@ -36,12 +36,12 @@
    decoder's last 7 input bytes are read one at a time, so no load passes
    the end of the stream, and only they are tested for truncation.
 
-   The file builds with no -m or -march flag. Its one SIMD path, the SSSE3
-   bit-plane blocks, is compiled with a target attribute and taken only on
-   CPUs that report SSSE3, so a cached library runs on every host of its
-   architecture. -DSLIDECODEC_NO_SIMD leaves that path out, as a build for
-   another architecture does; the tests compile the file that way too, so
-   that build stays free of warnings. */
+   The file builds with no -m or -march flag. Its two SIMD paths, the SSSE3
+   bit-plane blocks and the fused SSSE3 unprojection row, are compiled with a
+   target attribute and taken only on CPUs that report SSSE3, so a cached
+   library runs on every host of its architecture. -DSLIDECODEC_NO_SIMD
+   leaves both out, as a build for another architecture does; the tests
+   compile the file that way too, so that build stays free of warnings. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -552,6 +552,16 @@ done:
    channel counts and buffer sizes. The projection kernels return LZW_OK,
    or LZW_NOMEM without scratch rows; the bit-plane kernels return nothing.
 
+   On CPUs with SSSE3, px_unproject takes each row of 3 channels 16 pixels
+   at a time in one fused pass (unproject_steps): it undoes the zigzag,
+   splits the pixels into one vector per channel, adds the first channel
+   back into the others, sums each channel along the row with shifted adds
+   and the previous step's last sum, merges the channels back into pixels
+   and adds the row above, with no scratch row. The rest of the row, shorter
+   than one step, and rows of 1 channel or on other CPUs go through
+   unproject_row's four passes, which start from the channel sums carried
+   to them.
+
    The bit-plane kernels take 3 channels, on CPUs with SSSE3, 64 groups of
    8 pixels at a time, so that each of the 24 planes is written or read as
    one whole 64-byte line per block (to_blocks, from_blocks). Other channel
@@ -658,11 +668,11 @@ int px_project(const uint8_t *x, size_t h, size_t w, size_t c, ptrdiff_t s0, uin
     return LZW_OK;
 }
 
-/* Running sums of each channel of an RGB row, in place: three chains in
-   registers. */
-static void sum3(uint8_t *t, size_t len)
+/* Running sums of each channel of an RGB row, in place, from the sums s:
+   three chains in registers. */
+static void sum3(uint8_t *t, size_t len, const uint8_t s[3])
 {
-    unsigned a0 = 0, a1 = 0, a2 = 0;
+    unsigned a0 = s[0], a1 = s[1], a2 = s[2];
     for (size_t j = 0; j < len; j += 3) {
         t[j] = (uint8_t)(a0 += t[j]);
         t[j + 1] = (uint8_t)(a1 += t[j + 1]);
@@ -677,14 +687,17 @@ static inline uint8_t untied(const uint8_t *u, size_t i)
     return (uint8_t)(u[0] + (u[-1] & TIE1[i]) + (u[-2] & TIE2[i]));
 }
 
-/* One packed row of unproject into y: r is the residual row, prev the
-   output row above (zeros for row 0), and t a scratch row; c is 1 or 3.
+/* One packed row of unproject into y, or the end of one from a pixel
+   boundary: r is the residual bytes, prev the output row above (zeros for
+   row 0), t a scratch row, and s the sum of each channel over the row's
+   pixels before r (zeros at the row's start); c is 1 or 3, len at least 1.
    Four passes: undo the zigzag into y, undo the channel pass into t, sum
    each channel along the row in t (the column pass), add prev (the row
    pass). The sum carries a value from pixel to pixel, so it is the one
    scalar pass; its three channels run as separate chains in registers. */
 static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict prev,
-                          uint8_t *restrict t, uint8_t *restrict y, size_t len, size_t c)
+                          uint8_t *restrict t, uint8_t *restrict y, size_t len, size_t c,
+                          const uint8_t s[3])
 {
     size_t j;
     if (len >= CHUNK)
@@ -695,7 +708,7 @@ static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict pre
         for (j = 0; j < len; j++)
             y[j] = unzigzag8(r[j]);
     if (c == 1) {
-        uint8_t a = 0;
+        uint8_t a = s[0];
         for (j = 0; j < len; j++)
             t[j] = a = (uint8_t)(a + y[j]);
     } else {
@@ -709,7 +722,7 @@ static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict pre
         else
             for (j = 3; j < len; j++)
                 t[j] = untied(y + j, j % 3);
-        sum3(t, len);
+        sum3(t, len, s);
     }
     if (len >= CHUNK)
         for (j = 0; j < len; j = next_step(j, len))
@@ -718,25 +731,6 @@ static void unproject_row(const uint8_t *restrict r, const uint8_t *restrict pre
     else
         for (j = 0; j < len; j++)
             y[j] = (uint8_t)(prev[j] + t[j]);
-}
-
-/* y = unproject(r), r contiguous and y's rows y0 bytes apart, |y0| >= w*c
-   unless h is 1, not overlapping r; c is 1 or 3. */
-int px_unproject(const uint8_t *r, size_t h, size_t w, size_t c, uint8_t *y, ptrdiff_t y0)
-{
-    const size_t len = w * c;
-    /* a zero row and a sum row */
-    uint8_t *scratch = calloc(len * 2 + 1, 1);
-    if (!scratch)
-        return LZW_NOMEM;
-    const uint8_t *prev = scratch;
-    for (size_t m = 0; m < h && len; m++) {
-        uint8_t *row = y + (ptrdiff_t)m * y0;
-        unproject_row(r + m * len, prev, scratch + len, row, len, c);
-        prev = row;
-    }
-    free(scratch);
-    return LZW_OK;
 }
 
 /* Transpose the 8x8 bit matrix in x, row i in byte 7 - i (big-endian
@@ -817,7 +811,7 @@ static inline void from_planes(const uint8_t *planes, size_t n, size_t c, uint8_
 
 #if !defined(SLIDECODEC_NO_SIMD) && defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #include <tmmintrin.h>
-#define SSSE3_BLOCKS 1
+#define SSSE3_PATHS 1
 
 /* Line blocks with SSSE3 byte shuffles, for 3 channels (bitshuffle's
    method: Masui et al., Astronomy and Computing 2015). The groups go BLOCK
@@ -944,8 +938,69 @@ static SSSE3 size_t from_blocks(const uint8_t *planes, size_t n, uint8_t *p, siz
     return g;
 }
 
-/* Whether the SSSE3 blocks take the first groups of c channels. */
-static int use_blocks(size_t c)
+/* Pixel order, the inverse of MERGE3: UNMERGE3[k][v] puts byte 3l + k of
+   three RGB vectors, channel k of pixel l, in lane l when it lies in
+   vector v, and zeroes (-1) the lanes whose bytes lie in the others. */
+static const int8_t UNMERGE3[3][3][16] = {
+    {{0, 3, 6, 9, 12, 15, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, -1, 2, 5, 8, 11, 14, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 4, 7, 10, 13}},
+    {{1, 4, 7, 10, 13, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, 0, 3, 6, 9, 12, 15, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 2, 5, 8, 11, 14}},
+    {{2, 5, 8, 11, 14, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, 1, 4, 7, 10, 13, -1, -1, -1, -1, -1, -1},
+     {-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 3, 6, 9, 12, 15}},
+};
+
+/* unproject_row of the whole steps of 16 pixels (48 bytes) of an RGB row,
+   each in one pass with no scratch row; returns the bytes done and sets s
+   to each channel's sum over them. A channel's running sum in its 16 lanes
+   takes four shifted adds, 1, 2, 4 and 8 lanes apart, and then the last
+   lane of the step before, broadcast. Hidden rather than static: GCC
+   emits the static functions it does not inline ahead of the exported ones,
+   where this one would move lzw_encode and lzw_decode. */
+__attribute__((visibility("hidden"))) SSSE3 size_t
+unproject_steps(const uint8_t *restrict r, const uint8_t *restrict prev, uint8_t *restrict y,
+                size_t len, uint8_t s[3])
+{
+    const __m128i one = _mm_set1_epi8(1), low7 = _mm_set1_epi8(0x7F),
+                  last = _mm_set1_epi8(15);
+    __m128i carry[3] = {_mm_setzero_si128(), _mm_setzero_si128(), _mm_setzero_si128()};
+    size_t j = 0;
+    for (; j + 48 <= len; j += 48) {
+        __m128i v[3], ch[3];
+        UNROLL(3) for (size_t i = 0; i < 3; i++) {
+            /* (u >> 1) ^ (0 - (u & 1)) */
+            const __m128i u = load16(r + j + 16 * i);
+            v[i] = _mm_xor_si128(_mm_and_si128(_mm_srli_epi16(u, 1), low7),
+                                 _mm_sub_epi8(_mm_setzero_si128(), _mm_and_si128(u, one)));
+        }
+        UNROLL(3) for (size_t k = 0; k < 3; k++)
+            ch[k] = shuffle3(v[0], v[1], v[2], UNMERGE3[k]);
+        ch[1] = _mm_add_epi8(ch[1], ch[0]);
+        ch[2] = _mm_add_epi8(ch[2], ch[0]);
+        UNROLL(3) for (size_t k = 0; k < 3; k++) {
+            __m128i x = ch[k];
+            x = _mm_add_epi8(x, _mm_slli_si128(x, 1));
+            x = _mm_add_epi8(x, _mm_slli_si128(x, 2));
+            x = _mm_add_epi8(x, _mm_slli_si128(x, 4));
+            x = _mm_add_epi8(x, _mm_slli_si128(x, 8));
+            ch[k] = _mm_add_epi8(x, carry[k]);
+            carry[k] = _mm_shuffle_epi8(ch[k], last);
+        }
+        UNROLL(3) for (size_t i = 0; i < 3; i++)
+            _mm_storeu_si128((__m128i *)(y + j + 16 * i),
+                             _mm_add_epi8(shuffle3(ch[0], ch[1], ch[2], MERGE3[i]),
+                                          load16(prev + j + 16 * i)));
+    }
+    UNROLL(3) for (size_t k = 0; k < 3; k++)
+        s[k] = (uint8_t)_mm_cvtsi128_si32(carry[k]);
+    return j;
+}
+
+/* Whether the SSSE3 paths take c channels. */
+static int use_ssse3(size_t c)
 {
     return c == 3 && __builtin_cpu_supports("ssse3");
 }
@@ -954,8 +1009,8 @@ static int use_blocks(size_t c)
 static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
                         size_t plane_len)
 {
-#ifdef SSSE3_BLOCKS
-    if (use_blocks(c)) {
+#ifdef SSSE3_PATHS
+    if (use_ssse3(c)) {
         const size_t g = to_blocks(p, n, planes, plane_len);
         p += 24 * g;
         planes += g;
@@ -973,8 +1028,8 @@ static void to_planes_c(const uint8_t *p, size_t n, size_t c, uint8_t *planes,
 static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
                           size_t plane_len)
 {
-#ifdef SSSE3_BLOCKS
-    if (use_blocks(c)) {
+#ifdef SSSE3_PATHS
+    if (use_ssse3(c)) {
         const size_t g = from_blocks(planes, n, p, plane_len);
         planes += g;
         p += 24 * g;
@@ -987,6 +1042,37 @@ static void from_planes_c(const uint8_t *planes, size_t n, size_t c, uint8_t *p,
         from_planes(planes, n, 3, p, plane_len);
     else
         from_planes(planes, n, c, p, plane_len);
+}
+
+/* y = unproject(r), r contiguous and y's rows y0 bytes apart, |y0| >= w*c
+   unless h is 1, not overlapping r; c is 1 or 3. Each row's whole steps go
+   through unproject_steps where it runs, and the rest through
+   unproject_row, from the channel sums the steps leave. */
+int px_unproject(const uint8_t *r, size_t h, size_t w, size_t c, uint8_t *y, ptrdiff_t y0)
+{
+    const size_t len = w * c;
+    /* a zero row and a sum row */
+    uint8_t *scratch = calloc(len * 2 + 1, 1);
+    if (!scratch)
+        return LZW_NOMEM;
+#ifdef SSSE3_PATHS
+    const int fused = use_ssse3(c);
+#endif
+    const uint8_t *prev = scratch;
+    for (size_t m = 0; m < h && len; m++, r += len) {
+        uint8_t *row = y + (ptrdiff_t)m * y0;
+        uint8_t s[3] = {0, 0, 0};
+        size_t j = 0;
+#ifdef SSSE3_PATHS
+        if (fused)
+            j = unproject_steps(r, prev, row, len, s);
+#endif
+        if (j < len)
+            unproject_row(r + j, prev + j, scratch + len, row + j, len - j, c, s);
+        prev = row;
+    }
+    free(scratch);
+    return LZW_OK;
 }
 
 /* planes = to_bitplanes(x), x contiguous: c * 8 * ceil(h*w / 8) bytes, any c. */

@@ -34,7 +34,7 @@ SOURCE = Path(__file__).with_name("_lzw.c")
 # Every function starts on a 64-byte boundary, so a kernel's speed does not
 # move with the length of the code above it in the library. No -m or -march
 # flag: the cache key names no CPU, so a library in a shared cache must run
-# on any host of the machine type; _lzw.c picks its SIMD path at run time.
+# on any host of the machine type; _lzw.c picks its SIMD paths at run time.
 CFLAGS = ["-O2", "-shared", "-fPIC", "-falign-functions=64"]
 KEEP_LIBRARIES = 4  # cached builds kept, newest by modification time
 
@@ -161,7 +161,8 @@ def _address(data):
         return data
     if isinstance(data, memoryview) and not data.readonly and data.nbytes:
         # about a third of numpy's cost; from_buffer takes only writable,
-        # non-empty buffers, such as the arrays this module allocates
+        # non-empty buffers, such as the arrays this module allocates and
+        # most tiles; read-only and empty ones take numpy's path
         return ctypes.addressof(ctypes.c_char.from_buffer(data))
     return np.frombuffer(data, dtype=np.uint8).ctypes.data
 
@@ -242,7 +243,7 @@ def unproject(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     # rows that overlap each other are not packed for writing
     y = (out if _packed(out) and (abs(out.strides[0]) >= w * c or h == 1)
          else np.empty(out.shape, np.uint8))
-    _check(_lib.px_unproject(r.ctypes.data, h, w, c, y.ctypes.data, y.strides[0]))
+    _check(_lib.px_unproject(_address(memoryview(r)), h, w, c, y.ctypes.data, y.strides[0]))
     if y is not out:
         out[...] = y
     return out
@@ -253,7 +254,7 @@ def to_bitplanes(r: np.ndarray) -> memoryview:
     r = _contiguous(r)
     h, w, c = r.shape
     planes = memoryview(np.empty(c * 8 * ((h * w + 7) // 8), dtype=np.uint8))
-    _lib.px_to_bitplanes(r.ctypes.data, h, w, c, _address(planes))
+    _lib.px_to_bitplanes(_address(memoryview(r)), h, w, c, _address(planes))
     return planes
 
 

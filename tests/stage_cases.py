@@ -10,9 +10,10 @@ rows are packed (contiguous, or rows reversed, which gives a negative row
 stride); every other layout, and any non-contiguous input to ``unproject``
 or ``to_bitplanes``, goes through the wrapper's one copy.
 ``tests/test_native_stages.py`` drives these checks with Hypothesis, and
-runs :func:`check_block_edges`; :func:`check_stages` runs a seeded batch of
-them and the block edges, which ``tests/test_lzw.py`` runs on kernels built
-with UBSan and with AddressSanitizer.
+runs :func:`check_row_edges` and :func:`check_block_edges`;
+:func:`check_stages` runs a seeded batch of them, the row edges and the block
+edges, which ``tests/test_lzw.py`` runs on kernels built with UBSan and with
+AddressSanitizer.
 """
 
 import numpy as np
@@ -26,6 +27,11 @@ LAYOUTS = ("contiguous", "rows reversed", "columns reversed", "strided", "channe
 BLOCK_EDGE_SHAPES = tuple((1, 512 * k + d) if k == 1 else (512 * k + d, 1)
                           for k in (1, 2) for d in (-9, -8, -1, 0, 1, 7, 8, 9)
                           ) + ((256, 256), (256, 132))
+
+# Widths at the edges of the native unprojection's steps of 16 pixels:
+# w = 16k + d, one to three steps and a pixel either side, then the codec's
+# 256-pixel tile row.
+ROW_EDGE_WIDTHS = tuple(16 * k + d for k in (1, 2, 3) for d in (-1, 0, 1)) + (256,)
 
 
 def array(rng, h, w, c, layout):
@@ -102,10 +108,20 @@ def check_block_edges(native, pure, rng):
                 check_bitplanes(native, pure, array(rng, h, w, c, layout), rng)
 
 
+def check_row_edges(native, pure, rng):
+    """``unproject`` of three rows of every ``ROW_EDGE_WIDTHS`` width, in
+    every layout and into every ``out_views`` view, at 3 channels (the fused
+    steps and the row tails they leave to the scalar code) and at 1."""
+    for w in ROW_EDGE_WIDTHS:
+        for layout in LAYOUTS:
+            for c in (1, 3):
+                check_unproject(native, pure, array(rng, 3, w, c, layout), rng)
+
+
 def check_stages(native, pure, rng, count):
     """``count`` random shapes up to 40x40, each in every layout, through all
     four kernels: 1 and 3 channels for projection, 0 to 4 for bit-planes;
-    then :func:`check_block_edges`."""
+    then :func:`check_row_edges` and :func:`check_block_edges`."""
     for _ in range(count):
         h, w = (int(n) for n in rng.integers(1, 41, 2))
         for layout in LAYOUTS:
@@ -115,4 +131,5 @@ def check_stages(native, pure, rng, count):
                 check_unproject(native, pure, x, rng)
             for c in range(5):
                 check_bitplanes(native, pure, array(rng, h, w, c, layout), rng)
+    check_row_edges(native, pure, rng)
     check_block_edges(native, pure, rng)

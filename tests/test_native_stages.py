@@ -17,7 +17,7 @@ from slidecodec.pipeline import CompressionConfig, compress, decompress
 from slidecodec.transform import unproject
 
 from stage_cases import (LAYOUTS, array, check_bitplanes, check_block_edges, check_project,
-                         check_unproject)
+                         check_row_edges, check_unproject)
 
 try:
     from slidecodec import _lzw_native
@@ -55,6 +55,23 @@ def test_unproject_matches_numpy_in_place_too(native, h, w, c, layout, seed):
 def test_bitplanes_match_numpy(native, h, w, c, layout, seed):
     rng = np.random.default_rng(seed)
     check_bitplanes(native, _lzw_py, array(rng, h, w, c, layout), rng)
+
+
+def test_unproject_matches_numpy_at_row_step_edges(native):
+    check_row_edges(native, _lzw_py, np.random.default_rng(45))
+
+
+def test_read_only_inputs_match_numpy(native):
+    # inputs the kernels take as they are, not writeable: their address
+    # comes by numpy's path
+    rng = np.random.default_rng(46)
+    for h, w, c in ((3, 33, 3), (2, 5, 1)):
+        r = np.frombuffer(rng.integers(0, 256, h * w * c, dtype=np.uint8).tobytes(),
+                          np.uint8).reshape(h, w, c)
+        assert not r.flags.writeable and r.flags.c_contiguous
+        assert np.array_equal(native.unproject(r, np.empty(r.shape, np.uint8)),
+                              _lzw_py.unproject(r, np.empty(r.shape, np.uint8)))
+        assert native.to_bitplanes(r) == _lzw_py.to_bitplanes(r)
 
 
 def test_bitplanes_match_numpy_at_block_edges(native):
